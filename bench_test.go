@@ -9,6 +9,7 @@ package calib_test
 // as continuous bound checks.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -17,6 +18,7 @@ import (
 	"calib/internal/core"
 	"calib/internal/exp"
 	"calib/internal/lp"
+	"calib/internal/obs"
 	"calib/internal/tise"
 	"calib/internal/workload"
 )
@@ -52,16 +54,15 @@ func BenchmarkT1LongWindow(b *testing.B) {
 }
 
 // BenchmarkT1LongWindowN40 is the headline end-to-end comparison at
-// n=40: the seed pipeline (monolithic solve, dense tableau with the
-// full pair-row family) versus the hot path introduced by this
-// overhaul (time-component decomposition + bounded-variable revised
-// simplex with warm-started lazy cuts). The workload is T1-style —
-// long-window jobs planted around calibration clusters — at 4
-// clusters x 10 jobs. "HotPath" reports the end-to-end quotient as
-// "x-speedup"; scripts/bench.sh records both arms in BENCH_lp.json.
+// n=40: the monolithic pipeline (the default) versus the hot path
+// (time-component decomposition on 4 workers). Both arms run the same
+// LP engine, so the quotient isolates the decomposition. The workload
+// is T1-style — long-window jobs planted around calibration clusters —
+// at 4 clusters x 10 jobs. "HotPath" reports the end-to-end quotient
+// as "x-speedup"; scripts/bench.sh records both arms in BENCH_lp.json.
 func BenchmarkT1LongWindowN40(b *testing.B) {
 	inst, _ := workload.Clustered(rand.New(rand.NewSource(140)), 4, 10, 2, 10)
-	hot := core.Options{Engine: tise.Revised, Strategy: tise.Bounded, Parallelism: 4}
+	hot := core.Options{Parallelism: 4}
 	b.Run("Seed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := core.Solve(inst, core.Options{}); err != nil {
@@ -123,63 +124,17 @@ func BenchmarkT7Crossing(b *testing.B) {
 	}
 }
 
-// BenchmarkT8Scaling runs the T8 wall-clock table plus sub-benchmarks
-// that isolate the three hot-path stages introduced by the performance
-// overhaul. The *Vs* variants time both configurations inside one
-// iteration and report the quotient as "x-speedup" (higher = faster
-// new path); their ns/op is deliberately zeroed since the split
-// timings are what matters.
+// BenchmarkT8Scaling runs the T8 wall-clock table plus a sub-benchmark
+// that isolates the time-component decomposition. The *Vs* variant
+// times both configurations inside one iteration and reports the
+// quotient as "x-speedup" (higher = faster decomposed path); its
+// ns/op is deliberately zeroed since the split timings are what
+// matters.
 func BenchmarkT8Scaling(b *testing.B) {
 	b.Run("Table", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_ = exp.T8Scaling(benchCfg)
 		}
-	})
-	rng := rand.New(rand.NewSource(88))
-	long, _ := workload.Long(rng, 24, 2, 10)
-	b.Run("BoundedVsPairRows", func(b *testing.B) {
-		// Same revised engine; Direct materializes the full pair-row
-		// family, Bounded uses variable bounds + lazy cuts.
-		var direct, bounded time.Duration
-		for i := 0; i < b.N; i++ {
-			t0 := time.Now()
-			if _, err := tise.SolveLPWith(long, 6, tise.Revised, tise.Direct); err != nil {
-				b.Fatal(err)
-			}
-			direct += time.Since(t0)
-			t0 = time.Now()
-			if _, err := tise.SolveLPWith(long, 6, tise.Revised, tise.Bounded); err != nil {
-				b.Fatal(err)
-			}
-			bounded += time.Since(t0)
-		}
-		b.ReportMetric(float64(direct)/float64(bounded), "x-speedup")
-		b.ReportMetric(0, "ns/op")
-	})
-	b.Run("WarmVsCold", func(b *testing.B) {
-		// A binary-search-like m' sweep: one shared LPWarm chains bases
-		// and cuts across probes; the cold arm starts fresh each probe.
-		sweep := []int{6, 4, 5, 6, 7, 6}
-		var cold, warm time.Duration
-		for i := 0; i < b.N; i++ {
-			t0 := time.Now()
-			for _, mp := range sweep {
-				if _, err := tise.SolveLPBounded(long, mp, &tise.LPWarm{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			cold += time.Since(t0)
-			t0 = time.Now()
-			w := &tise.LPWarm{}
-			for _, mp := range sweep {
-				if _, err := tise.SolveLPBounded(long, mp, w); err != nil {
-					b.Fatal(err)
-				}
-			}
-			warm += time.Since(t0)
-		}
-		b.ReportMetric(float64(cold)/float64(warm), "x-speedup")
-		b.ReportMetric(0, "ns/op")
 	})
 	clustered, _ := workload.Clustered(rand.New(rand.NewSource(89)), 4, 6, 2, 10)
 	b.Run("DecomposedVsMonolithic", func(b *testing.B) {
@@ -320,24 +275,51 @@ func BenchmarkExactOPTN7(b *testing.B) {
 	}
 }
 
-func BenchmarkTISELPLargeDense(b *testing.B) {
+// BenchmarkTISELPLarge solves one larger TISE relaxation (24
+// long-window jobs, m' = 6) on the float engine.
+func BenchmarkTISELPLarge(b *testing.B) {
 	rng := rand.New(rand.NewSource(77))
 	inst, _ := workload.Long(rng, 24, 2, 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tise.SolveLPWith(inst, 6, tise.Float64, tise.Direct); err != nil {
+		if _, err := tise.SolveLP(inst, 6, tise.Float64); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkTISELPLargeRevised(b *testing.B) {
-	rng := rand.New(rand.NewSource(77))
-	inst, _ := workload.Long(rng, 24, 2, 10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tise.SolveLPWith(inst, 6, tise.Revised, tise.Direct); err != nil {
-			b.Fatal(err)
+// BenchmarkSolveMatrix runs the default pipeline (core.Solve) over
+// every workload family at n = 20, 40 and 80 (m = 2, T = 10, seed 1)
+// and reports, besides ns/op, the LP work per solve: simplex pivots
+// and mid-solve LU refactorizations. It is the per-family cost table
+// of the solver.
+func BenchmarkSolveMatrix(b *testing.B) {
+	for _, fam := range workload.FamilyNames {
+		for _, n := range []int{20, 40, 80} {
+			inst, err := workload.Family(rand.New(rand.NewSource(1)), fam,
+				workload.FamilyConfig{N: n, M: 2, T: 10})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(fmt.Sprintf("%s/n=%d", fam, n), func(b *testing.B) {
+				reg := obs.NewRegistry()
+				for i := 0; i < b.N; i++ {
+					if _, err := core.Solve(inst, core.Options{Metrics: reg}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				var pivots, refactors int64
+				for _, c := range reg.Snapshot().Counters {
+					switch c.Name {
+					case obs.MLPPivots:
+						pivots += c.Value
+					case obs.MLPLURefactor:
+						refactors += c.Value
+					}
+				}
+				b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
+				b.ReportMetric(float64(refactors)/float64(b.N), "refactors/op")
+			})
 		}
 	}
 }

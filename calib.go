@@ -155,14 +155,6 @@ type Options struct {
 	// padding. Beyond the paper; the approximation guarantee is
 	// unaffected (the result only gets better).
 	LocalSearch bool
-	// WarmStart switches the long-window LP to the hot path: the
-	// bounded-variable revised simplex with lazy pair-cut separation
-	// and basis reuse across re-solves (see internal/lp and
-	// internal/tise). Same optimum as the default dense engine — the
-	// test suite cross-checks the objectives to 1e-6 — but much less
-	// work per solve on wide-window instances. Ignored when ExactLP is
-	// set (rational arithmetic has no warm-start path).
-	WarmStart bool
 	// Parallelism > 0 decomposes the instance at time gaps of at least
 	// T (no calibration can span such a gap, so the optimum splits
 	// exactly; see internal/decomp) and solves the components
@@ -176,7 +168,7 @@ type Options struct {
 	// returns. See docs/OBSERVABILITY.md for the span taxonomy.
 	Trace *Trace
 	// Metrics, when non-nil, accumulates the solver counter series
-	// (LP pivots, warm-start hits, cut rounds, pool occupancy, ...);
+	// (LP pivots, LU refactorizations, pool occupancy, ...);
 	// export with Metrics.WriteJSON or Metrics.WritePrometheus. Both
 	// default to nil — telemetry off, at zero allocation cost.
 	Metrics *Metrics
@@ -222,6 +214,25 @@ var (
 	// ErrBudget: the work Budget ran out.
 	ErrBudget = robust.ErrBudgetExhausted
 )
+
+// coreOptions maps the Options onto the pipeline's, under the limits
+// of ctl.
+func (o *Options) coreOptions(ctl *robust.Control) core.Options {
+	engine := tise.Float64
+	if o.ExactLP {
+		engine = tise.Rational
+	}
+	return core.Options{
+		MM:          o.MMBox.solver(),
+		Engine:      engine,
+		TrimIdle:    o.TrimIdleCalibrations,
+		Parallelism: o.Parallelism,
+		Trace:       o.Trace,
+		Metrics:     o.Metrics,
+		Control:     ctl,
+		Fault:       o.Fault,
+	}
+}
 
 // control materializes the Options' limit fields into a
 // robust.Control. The returned cancel must be called when the solve
@@ -289,28 +300,9 @@ func Solve(inst *Instance, opts *Options) (*Solution, error) {
 	if opts != nil {
 		o = *opts
 	}
-	engine := tise.Float64
-	strategy := tise.Direct
-	switch {
-	case o.ExactLP:
-		engine = tise.Rational
-	case o.WarmStart:
-		engine = tise.Revised
-		strategy = tise.Bounded
-	}
 	ctl, cancel := o.control()
 	defer cancel()
-	res, err := core.Solve(inst, core.Options{
-		MM:          o.MMBox.solver(),
-		Engine:      engine,
-		Strategy:    strategy,
-		TrimIdle:    o.TrimIdleCalibrations,
-		Parallelism: o.Parallelism,
-		Trace:       o.Trace,
-		Metrics:     o.Metrics,
-		Control:     ctl,
-		Fault:       o.Fault,
-	})
+	res, err := core.Solve(inst, o.coreOptions(ctl))
 	if err != nil {
 		return nil, err
 	}
@@ -412,28 +404,9 @@ func SolveRobust(inst *Instance, opts *Options) (*RobustSolution, error) {
 	if opts != nil {
 		o = *opts
 	}
-	engine := tise.Float64
-	strategy := tise.Direct
-	switch {
-	case o.ExactLP:
-		engine = tise.Rational
-	case o.WarmStart:
-		engine = tise.Revised
-		strategy = tise.Bounded
-	}
 	ctl, cancel := o.control()
 	defer cancel()
-	res, err := core.SolveRobust(inst, core.RobustOptions{Options: core.Options{
-		MM:          o.MMBox.solver(),
-		Engine:      engine,
-		Strategy:    strategy,
-		TrimIdle:    o.TrimIdleCalibrations,
-		Parallelism: o.Parallelism,
-		Trace:       o.Trace,
-		Metrics:     o.Metrics,
-		Control:     ctl,
-		Fault:       o.Fault,
-	}})
+	res, err := core.SolveRobust(inst, core.RobustOptions{Options: o.coreOptions(ctl)})
 	if err != nil {
 		return nil, err
 	}
@@ -487,16 +460,28 @@ type SpeedSolution struct {
 // machines→speed transformation (Theorem 14): at most inst.M machines,
 // each 36x faster, and at most 12 times the optimal number of
 // calibrations. All jobs must have long windows (d_j - r_j >= 2T).
+// ExactLP, Context, Timeout, Budget, Metrics and Trace apply as in
+// Solve; the other options concern short-window jobs or the merged
+// schedule and are ignored.
 func SolveWithSpeed(inst *Instance, opts *Options) (*SpeedSolution, error) {
 	var o Options
 	if opts != nil {
 		o = *opts
 	}
-	engine := tise.Float64
-	if o.ExactLP {
-		engine = tise.Rational
+	ctl, cancel := o.control()
+	defer cancel()
+	tr := o.Trace
+	if tr == nil {
+		tr = obs.DefaultTrace()
 	}
-	res, err := tise.SolveWithSpeed(inst, tise.Options{Engine: engine})
+	sp := tr.Root().Start("solve")
+	defer sp.End()
+	res, err := tise.SolveWithSpeed(inst, tise.Options{
+		Engine:  o.coreOptions(ctl).Engine,
+		Span:    sp,
+		Metrics: o.Metrics,
+		Control: ctl,
+	})
 	if err != nil {
 		return nil, err
 	}

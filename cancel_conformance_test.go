@@ -4,9 +4,9 @@ package calib_test
 // return within 100ms of its context being canceled, even deep inside
 // a pathological instance's hot loop (LP pivots, branch-and-bound
 // nodes, MM probes). The per-engine check cadences (every pivot for
-// the dense/rational engines, every 32 pivots for the revised engine,
-// every 512 nodes for the searches) are sized so this bound holds
-// comfortably under -race.
+// the rational engine, every 32 pivots for the float engine, every 512
+// nodes for the searches) are sized so this bound holds comfortably
+// under -race.
 
 import (
 	"context"
@@ -64,12 +64,12 @@ func TestCancelConformance(t *testing.T) {
 		name string
 		run  func(ctx context.Context) error
 	}{
-		{"calib.Solve/dense", func(ctx context.Context) error {
+		{"calib.Solve", func(ctx context.Context) error {
 			_, err := calib.Solve(hardLong(t), &calib.Options{Context: ctx})
 			return err
 		}},
-		{"calib.Solve/warm", func(ctx context.Context) error {
-			_, err := calib.Solve(hardLong(t), &calib.Options{Context: ctx, WarmStart: true})
+		{"calib.SolveWithSpeed", func(ctx context.Context) error {
+			_, err := calib.SolveWithSpeed(hardLong(t), &calib.Options{Context: ctx})
 			return err
 		}},
 		{"calib.SolveRobust", func(ctx context.Context) error {
@@ -81,13 +81,6 @@ func TestCancelConformance(t *testing.T) {
 		{"tise.Solve", func(ctx context.Context) error {
 			ctl := robust.NewControl(ctx, 0, obs.NewRegistry())
 			_, err := tise.Solve(hardLong(t), tise.Options{Control: ctl})
-			return err
-		}},
-		{"tise.Solve/bounded", func(ctx context.Context) error {
-			ctl := robust.NewControl(ctx, 0, obs.NewRegistry())
-			_, err := tise.Solve(hardLong(t), tise.Options{
-				Engine: tise.Revised, Strategy: tise.Bounded, Control: ctl,
-			})
 			return err
 		}},
 		{"exact.Solve", func(ctx context.Context) error {
@@ -106,7 +99,7 @@ func TestCancelConformance(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		// Deliberately not parallel: the latency bound is measured per
-		// solver, and seven concurrent hot loops contending for cores
+		// solver, and six concurrent hot loops contending for cores
 		// (especially under -race) would measure the scheduler instead.
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())

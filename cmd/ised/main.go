@@ -7,7 +7,7 @@
 //
 //	ised [-addr host:port] [-addr-file FILE]
 //	     [-max-inflight N] [-max-queue N] [-queue-wait D]
-//	     [-cache N] [-warm] [-par N]
+//	     [-cache N] [-par N]
 //	     [-cache-file FILE] [-cache-save-interval D] [-drain-wait D]
 //	     [-timeout D] [-budget N]
 //	     [-faults SPEC] [-fault-seed N]
@@ -88,7 +88,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	maxQueue := fs.Int("max-queue", 0, "bound on requests waiting for an admission slot (0 = same as -max-inflight, -1 = shed immediately)")
 	queueWait := fs.Duration("queue-wait", 0, "how long a queued request waits for a slot before shedding (0 = 100ms)")
 	cacheSize := fs.Int("cache", 0, "canonical schedule cache capacity in entries (0 = 4096, -1 = disabled)")
-	warm := fs.Bool("warm", false, "enable LP warm starts in the solving pipeline")
 	par := fs.Int("par", 0, "per-solve component parallelism (0 = sequential)")
 	cacheFile := fs.String("cache-file", "", "persist the schedule cache to this snapshot file (restored at boot, saved on shutdown)")
 	cacheEvery := fs.Duration("cache-save-interval", 0, "also snapshot the cache periodically (0 = only on graceful shutdown)")
@@ -144,7 +143,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		CacheEntries:      *cacheSize,
 		MaxTimeout:        tele.Timeout(),
 		MaxBudget:         tele.Budget(),
-		WarmStart:         *warm,
 		Parallelism:       *par,
 		Metrics:           reg,
 		Fault:             inj,

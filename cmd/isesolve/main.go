@@ -5,7 +5,7 @@
 // Usage:
 //
 //	isesolve [-box greedy|exact|lp-round|lp-search] [-exact-lp]
-//	         [-warm] [-par N] [-trim] [-opt | -lazy | -robust] [-compact]
+//	         [-par N] [-trim] [-opt | -lazy | -robust] [-compact]
 //	         [-v] [-timeout D] [-budget N] [-trace] [-trace-json FILE]
 //	         [-metrics] [-metrics-out FILE] [-pprof addr] [instance.json]
 //
@@ -42,7 +42,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("isesolve", flag.ContinueOnError)
 	box := fs.String("box", "greedy", "MM black box for short-window jobs: greedy, exact, lp-round, lp-search")
 	exactLP := fs.Bool("exact-lp", false, "use exact rational arithmetic for the long-window LP")
-	warm := fs.Bool("warm", false, "long-window LP hot path: bounded-variable simplex with warm-started lazy cuts")
 	par := fs.Int("par", 0, "solve independent time components with up to N concurrent workers")
 	trim := fs.Bool("trim", false, "drop idle short-window calibrations (beyond the paper)")
 	opt := fs.Bool("opt", false, "solve exactly by branch and bound (small n only)")
@@ -95,8 +94,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	default:
 		opts := &calib.Options{
 			ExactLP: *exactLP, TrimIdleCalibrations: *trim,
-			WarmStart: *warm, Parallelism: *par,
-			Trace: tele.Trace, Metrics: tele.Metrics,
+			Parallelism: *par,
+			Trace:       tele.Trace, Metrics: tele.Metrics,
 			Timeout: tele.Timeout(), Budget: tele.Budget(),
 		}
 		switch *box {

@@ -8,44 +8,26 @@ import (
 	"calib/internal/workload"
 )
 
-// TestWarmStartOption: the bounded/warm-started hot path must agree
-// with the default pipeline on feasibility and LP objective.
-func TestWarmStartOption(t *testing.T) {
+// TestParallelismAgreement: decomposition on and off must agree on
+// feasibility and LP objective on mixed instances.
+func TestParallelismAgreement(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 4; trial++ {
 		inst, _ := workload.Mixed(rng, 14, 2, 10, 0.6)
-		slow, err := calib.Solve(inst, nil)
+		mono, err := calib.Solve(inst, nil)
 		if err != nil {
-			t.Fatalf("trial %d default: %v", trial, err)
+			t.Fatalf("trial %d monolithic: %v", trial, err)
 		}
-		fast, err := calib.Solve(inst, &calib.Options{WarmStart: true})
+		par, err := calib.Solve(inst, &calib.Options{Parallelism: 4})
 		if err != nil {
-			t.Fatalf("trial %d warm: %v", trial, err)
+			t.Fatalf("trial %d parallel: %v", trial, err)
 		}
-		if err := calib.Validate(inst, fast.Schedule); err != nil {
-			t.Fatalf("trial %d: warm schedule infeasible: %v", trial, err)
+		if err := calib.Validate(inst, par.Schedule); err != nil {
+			t.Fatalf("trial %d: parallel schedule infeasible: %v", trial, err)
 		}
-		if d := slow.LPObjective - fast.LPObjective; d > 1e-6 || d < -1e-6 {
-			t.Fatalf("trial %d: LP objective default %v != warm %v", trial, slow.LPObjective, fast.LPObjective)
+		if d := mono.LPObjective - par.LPObjective; d > 1e-6 || d < -1e-6 {
+			t.Fatalf("trial %d: LP objective monolithic %v != parallel %v", trial, mono.LPObjective, par.LPObjective)
 		}
-	}
-}
-
-// TestWarmStartExactLPPrecedence: ExactLP keeps the rational engine
-// even when WarmStart is also set.
-func TestWarmStartExactLPPrecedence(t *testing.T) {
-	rng := rand.New(rand.NewSource(62))
-	inst, _ := workload.Long(rng, 6, 1, 8)
-	both, err := calib.Solve(inst, &calib.Options{ExactLP: true, WarmStart: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := calib.Solve(inst, &calib.Options{ExactLP: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if both.LPObjective != exact.LPObjective {
-		t.Fatalf("ExactLP+WarmStart objective %v != ExactLP %v", both.LPObjective, exact.LPObjective)
 	}
 }
 
@@ -60,7 +42,7 @@ func TestParallelismOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, par := range []int{1, 4} {
-		sol, err := calib.Solve(inst, &calib.Options{Parallelism: par, WarmStart: true})
+		sol, err := calib.Solve(inst, &calib.Options{Parallelism: par})
 		if err != nil {
 			t.Fatalf("par %d: %v", par, err)
 		}

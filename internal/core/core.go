@@ -31,9 +31,8 @@ type Options struct {
 	// defaults to mm.Greedy{}.
 	MM mm.Solver
 	// Engine selects the LP backend for long-window jobs: Float64
-	// (dense tableau, default), Rational (exact), Revised (sparse
-	// revised simplex on the LU basis — the hot path), or RevisedDense
-	// (Revised on the dense reference basis, for cross-checking).
+	// (revised simplex on a sparse LU basis, default) or Rational
+	// (exact).
 	Engine tise.Engine
 	// TrimIdle enables the short-window idle-calibration trimming
 	// optimization (off = paper-faithful).
@@ -43,8 +42,9 @@ type Options struct {
 	// paper's Gamma = 2; larger values are valid per the paper's
 	// Section 3 remark and traded off in experiment T11.
 	Gamma int
-	// Strategy selects the long-window LP row strategy (default
-	// Direct; tise.Bounded is the fast path).
+	// Strategy is kept only for the benchmark harness (perfbench/),
+	// which sets it; tise.Direct is its only value and nothing reads
+	// it.
 	Strategy tise.Strategy
 	// Parallelism enables time-component decomposition: when > 0 the
 	// instance is split at release/deadline gaps of at least T (no
@@ -66,8 +66,8 @@ type Options struct {
 	// is disabled at zero cost.
 	Metrics *obs.Registry
 	// Control carries the solve's cancellation context and work budget
-	// into every long-running loop of the pipeline (LP pivots, cut
-	// rounds, MM probes, the decomposition pool). nil means no limits.
+	// into every long-running loop of the pipeline (LP pivots, MM
+	// probes, the decomposition pool). nil means no limits.
 	Control *robust.Control
 	// Fault, when non-nil, arms deterministic fault injection at the
 	// solver-phase points (solve_panic, solve_latency, budget_burn) —
@@ -186,8 +186,7 @@ func solveMono(inst *ise.Instance, opts Options, gamma int, parent *obs.Span, me
 		t1 := time.Now()
 		lsp := parent.Start("long")
 		lr, err := tise.Solve(long, tise.Options{
-			Engine: opts.Engine, Strategy: opts.Strategy,
-			Span: lsp, Metrics: met, Control: opts.Control,
+			Engine: opts.Engine, Span: lsp, Metrics: met, Control: opts.Control,
 		})
 		if err != nil {
 			lsp.End()

@@ -16,7 +16,7 @@ import (
 )
 
 // RobustOptions configures SolveRobust. The embedded Options carry the
-// pipeline configuration (engine, strategy, MM box, parallelism,
+// pipeline configuration (engine, MM box, parallelism,
 // telemetry) and — crucially — the Control whose deadline/budget drive
 // the degradation ladder.
 type RobustOptions struct {

@@ -139,66 +139,18 @@ func (d *denseBasis) refactorize(t *revTableau) bool {
 	return true
 }
 
-// adoptWarm extends the cached inverse of the warm basis to the
-// current (possibly row-extended) problem. With old basis B and k
-// appended rows whose basic columns are singletons s_i*e_i in their
-// own row, the new basis is the block matrix [[B,0],[R,S]] and its
-// inverse is [[Binv,0],[-Sinv*R*Binv,Sinv]] — an O(k*m^2) update. The
-// result is verified against the actual columns (Binv*B ≈ I); any
-// mismatch (changed coefficients, flipped row signs, a hand-built
-// basis) returns false and the caller refactorizes from scratch.
+// adoptWarm copies the inverse carried by a warm Basis and verifies it
+// against the current columns (Binv*B ≈ I); a mismatch (changed
+// coefficients, flipped row signs, a hand-built basis) returns false
+// and the caller refactorizes from scratch. Row-extended problems
+// refactorize too, as on the LU path.
 func (d *denseBasis) adoptWarm(t *revTableau, warm *Basis) bool {
-	om, m := warm.Rows, t.m
+	m := t.m
 	d.init(m)
-	if warm.binv == nil || len(warm.binv) != om*om || m == 0 {
+	if m == 0 || warm.Rows != m || len(warm.binv) != m*m {
 		return false
 	}
-	for i := 0; i < om; i++ {
-		row := d.binv[i*m : (i+1)*m]
-		copy(row[:om], warm.binv[i*om:(i+1)*om])
-		for k := om; k < m; k++ {
-			row[k] = 0
-		}
-	}
-	// Appended rows must be basic in their own singleton column.
-	for i := om; i < m; i++ {
-		c := &t.cols[t.basis[i]]
-		if len(c.idx) != 1 || int(c.idx[0]) != i || c.val[0] == 0 {
-			return false
-		}
-		row := d.binv[i*m : (i+1)*m]
-		for k := range row {
-			row[k] = 0
-		}
-	}
-	// Bottom-left block: accumulate -R*Binv from the old basic columns'
-	// entries in the appended rows (R is extremely sparse: cut rows
-	// touch a handful of variables).
-	for j := 0; j < om; j++ {
-		bc := &t.cols[t.basis[j]]
-		orow := warm.binv[j*om : (j+1)*om]
-		for k, ri := range bc.idx {
-			i := int(ri)
-			if i < om {
-				continue
-			}
-			f := bc.val[k]
-			row := d.binv[i*m : i*m+om]
-			for q := range orow {
-				row[q] -= f * orow[q]
-			}
-		}
-	}
-	for i := om; i < m; i++ {
-		inv := 1 / t.cols[t.basis[i]].val[0]
-		row := d.binv[i*m : (i+1)*m]
-		if inv != 1 {
-			for q := 0; q < om; q++ {
-				row[q] *= inv
-			}
-		}
-		row[i] = inv
-	}
+	copy(d.binv, warm.binv)
 	return t.verifyFactor(d)
 }
 

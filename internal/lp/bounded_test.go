@@ -20,7 +20,7 @@ func boundedFixture() *Problem {
 
 func TestBoundedRevisedSimple(t *testing.T) {
 	p := boundedFixture()
-	sol, err := SolveRevised(p)
+	sol, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestBoundedRevisedSimple(t *testing.T) {
 		t.Fatalf("X = %v, want [2 5]", sol.X)
 	}
 	if sol.Basis == nil {
-		t.Fatal("revised engine must return a basis")
+		t.Fatal("float engine must return a basis")
 	}
 }
 
@@ -50,7 +50,7 @@ func TestBoundedOnlyFlips(t *testing.T) {
 	p.SetUpper(2, 2)
 	// One slack-only row keeps m > 0 without constraining anything.
 	p.AddConstraint(LE, 100, Term{0, 1}, Term{1, 1}, Term{2, 1})
-	sol, err := SolveRevised(p)
+	sol, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,9 +65,9 @@ func TestBoundedOnlyFlips(t *testing.T) {
 	}
 }
 
-// TestBoundedEnginesAgree cross-checks the three engines on a panel of
-// bounded problems (dense/rational expand bounds to rows, revised is
-// native).
+// TestBoundedEnginesAgree cross-checks the float engine (native
+// bounds) against the rational engine (bounds expanded to rows) on a
+// panel of bounded problems.
 func TestBoundedEnginesAgree(t *testing.T) {
 	panel := []*Problem{}
 	p := boundedFixture()
@@ -99,11 +99,7 @@ func TestBoundedEnginesAgree(t *testing.T) {
 	panel = append(panel, p)
 
 	for i, p := range panel {
-		dense, err := Solve(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		revised, err := SolveRevised(p)
+		float, err := Solve(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,19 +107,14 @@ func TestBoundedEnginesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dense.Status != rational.Status || revised.Status != rational.Status {
-			t.Fatalf("panel[%d]: status dense=%v revised=%v rational=%v",
-				i, dense.Status, revised.Status, rational.Status)
+		if float.Status != rational.Status {
+			t.Fatalf("panel[%d]: status float=%v rational=%v", i, float.Status, rational.Status)
 		}
 		if rational.Status != Optimal {
 			continue
 		}
-		ro := rational.ObjectiveFloat()
-		if math.Abs(dense.Objective-ro) > 1e-6 {
-			t.Fatalf("panel[%d]: dense %v != rational %v", i, dense.Objective, ro)
-		}
-		if math.Abs(revised.Objective-ro) > 1e-6 {
-			t.Fatalf("panel[%d]: revised %v != rational %v", i, revised.Objective, ro)
+		if ro := rational.ObjectiveFloat(); math.Abs(float.Objective-ro) > 1e-6 {
+			t.Fatalf("panel[%d]: float %v != rational %v", i, float.Objective, ro)
 		}
 	}
 }
@@ -141,17 +132,17 @@ func rebuildFixture(rhs float64) *Problem {
 }
 
 func TestWarmStartRHSChange(t *testing.T) {
-	first, err := SolveRevised(rebuildFixture(7))
+	first, err := Solve(rebuildFixture(7))
 	if err != nil || first.Status != Optimal {
 		t.Fatalf("cold solve: %v %v", first.Status, err)
 	}
 	for _, rhs := range []float64{6, 8, 5, 7.5, 3} {
 		p2 := rebuildFixture(rhs)
-		warm, err := SolveRevisedWith(p2, RevisedOptions{Warm: first.Basis})
+		warm, err := SolveWith(p2, Options{Warm: first.Basis})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := SolveRevised(p2)
+		cold, err := Solve(p2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +158,7 @@ func TestWarmStartRHSChange(t *testing.T) {
 
 func TestWarmStartAppendedCuts(t *testing.T) {
 	base := rebuildFixture(7)
-	first, err := SolveRevised(base)
+	first, err := Solve(base)
 	if err != nil || first.Status != Optimal {
 		t.Fatalf("cold solve: %v %v", first.Status, err)
 	}
@@ -175,11 +166,11 @@ func TestWarmStartAppendedCuts(t *testing.T) {
 	// and re-solve warm: the dual simplex repairs the old basis.
 	cut := rebuildFixture(7)
 	cut.AddConstraint(LE, 10, Term{0, 1}, Term{1, 2})
-	warm, err := SolveRevisedWith(cut, RevisedOptions{Warm: first.Basis})
+	warm, err := SolveWith(cut, Options{Warm: first.Basis})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := SolveRevised(cut)
+	cold, err := Solve(cut)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,13 +191,13 @@ func TestWarmStartAppendedCuts(t *testing.T) {
 
 func TestWarmStartInfeasibleCut(t *testing.T) {
 	base := rebuildFixture(7)
-	first, err := SolveRevised(base)
+	first, err := Solve(base)
 	if err != nil || first.Status != Optimal {
 		t.Fatalf("cold solve: %v %v", first.Status, err)
 	}
 	bad := rebuildFixture(7)
 	bad.AddConstraint(GE, 100, Term{0, 1}, Term{1, 1}) // x0+x1 >= 100 impossible
-	warm, err := SolveRevisedWith(bad, RevisedOptions{Warm: first.Basis})
+	warm, err := SolveWith(bad, Options{Warm: first.Basis})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,17 +212,17 @@ func TestWarmStartInfeasibleCut(t *testing.T) {
 func TestWarmStartStaleBasis(t *testing.T) {
 	p := boundedFixture()
 	// Shape mismatch: silently cold.
-	sol, err := SolveRevisedWith(p, RevisedOptions{Warm: &Basis{Basic: []int{0, 1}, Vars: 9, Rows: 2}})
+	sol, err := SolveWith(p, Options{Warm: &Basis{Basic: []int{0, 1}, Vars: 9, Rows: 2}})
 	if err != nil || sol.Status != Optimal || math.Abs(sol.Objective-(-12)) > 1e-9 {
 		t.Fatalf("mismatched basis: %v obj %v err %v", sol.Status, sol.Objective, err)
 	}
 	// Compatible but arbitrary: x0 basic in the single row.
-	sol, err = SolveRevisedWith(p, RevisedOptions{Warm: &Basis{Basic: []int{0}, Vars: 2, Rows: 1}})
+	sol, err = SolveWith(p, Options{Warm: &Basis{Basic: []int{0}, Vars: 2, Rows: 1}})
 	if err != nil || sol.Status != Optimal || math.Abs(sol.Objective-(-12)) > 1e-9 {
 		t.Fatalf("arbitrary basis: %v obj %v err %v", sol.Status, sol.Objective, err)
 	}
 	// Arbitrary with a bogus AtUpper assignment.
-	sol, err = SolveRevisedWith(p, RevisedOptions{Warm: &Basis{Basic: []int{2}, AtUpper: []int{0, 1}, Vars: 2, Rows: 1}})
+	sol, err = SolveWith(p, Options{Warm: &Basis{Basic: []int{2}, AtUpper: []int{0, 1}, Vars: 2, Rows: 1}})
 	if err != nil || sol.Status != Optimal || math.Abs(sol.Objective-(-12)) > 1e-9 {
 		t.Fatalf("at-upper basis: %v obj %v err %v", sol.Status, sol.Objective, err)
 	}

@@ -126,32 +126,41 @@ func TestDualsWithEqAndFlippedRows(t *testing.T) {
 	}
 }
 
-// TestRevisedDualsMatchDense checks the two float engines produce the
-// same duals (strong duality asserted for both).
+// TestRevisedDualsMatchDense checks the float engine's two basis
+// representations (sparse LU and the dense reference inverse) both
+// produce duals satisfying strong duality at the rational optimum.
 func TestRevisedDualsMatchDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(515))
 	for trial := 0; trial < 30; trial++ {
 		p, _ := randFeasibleLP(rng.Int63())
-		d, err := Solve(p)
+		d, err := SolveWith(p, Options{denseBasis: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := SolveRevised(p)
+		r, err := Solve(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.Status != Optimal || r.Status != Optimal {
+		rat, err := SolveRational(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rat.Status != Optimal {
 			continue
 		}
-		// Both must satisfy strong duality (dual vectors themselves
-		// may differ at degenerate optima).
-		for name, sol := range map[string]*Solution{"dense": d, "revised": r} {
+		if d.Status != Optimal || r.Status != Optimal {
+			t.Fatalf("trial %d: status dense=%v lu=%v, rational optimal", trial, d.Status, r.Status)
+		}
+		// Both must satisfy strong duality against the exact optimum
+		// (dual vectors themselves may differ at degenerate optima).
+		ro := rat.ObjectiveFloat()
+		for name, sol := range map[string]*Solution{"dense": d, "lu": r} {
 			dualObj := 0.0
 			for i, row := range p.rows {
 				dualObj += row.rhs * sol.Dual[i]
 			}
-			if math.Abs(dualObj-sol.Objective) > 1e-6*(1+math.Abs(sol.Objective)) {
-				t.Fatalf("trial %d %s: b'y=%v != obj=%v", trial, name, dualObj, sol.Objective)
+			if math.Abs(dualObj-ro) > 1e-6*(1+math.Abs(ro)) {
+				t.Fatalf("trial %d %s: b'y=%v != rational obj=%v", trial, name, dualObj, ro)
 			}
 		}
 	}

@@ -68,11 +68,11 @@ func checkLPFeasible(t *testing.T, p *Problem, sol *Solution, tag string) {
 // returns both solutions so callers can chain their bases.
 func solveLUvsDense(t *testing.T, p *Problem, tag string) (luSol, denseSol *Solution) {
 	t.Helper()
-	luSol, err := SolveRevisedWith(p, RevisedOptions{})
+	luSol, err := SolveWith(p, Options{})
 	if err != nil {
 		t.Fatalf("%s: lu: %v", tag, err)
 	}
-	denseSol, err = SolveRevisedWith(p, RevisedOptions{DenseBasis: true})
+	denseSol, err = SolveWith(p, Options{denseBasis: true})
 	if err != nil {
 		t.Fatalf("%s: dense: %v", tag, err)
 	}
@@ -250,21 +250,21 @@ func TestLUDenseEquivalenceBounded(t *testing.T) {
 // has no inverse to extend and must refactorize) and vice versa. Every
 // link must match the cold dense reference optimum.
 func TestLUDenseWarmEquivalence(t *testing.T) {
-	first, err := SolveRevised(rebuildFixture(7))
+	first, err := Solve(rebuildFixture(7))
 	if err != nil || first.Status != Optimal {
 		t.Fatalf("cold: %v %v", first.Status, err)
 	}
 	basis := first.Basis
 	for step, rhs := range []float64{6, 8, 5, 7.5, 3, 7} {
 		p := rebuildFixture(rhs)
-		cold, err := SolveRevisedWith(p, RevisedOptions{DenseBasis: true})
+		cold, err := SolveWith(p, Options{denseBasis: true})
 		if err != nil || cold.Status != Optimal {
 			t.Fatalf("rhs=%v: cold dense: %v %v", rhs, cold.Status, err)
 		}
 		// Alternate the representation receiving the warm basis, so both
 		// same-rep adoption and cross-rep refactorization are exercised.
 		dense := step%2 == 1
-		warm, err := SolveRevisedWith(p, RevisedOptions{Warm: basis, DenseBasis: dense})
+		warm, err := SolveWith(p, Options{Warm: basis, denseBasis: dense})
 		if err != nil {
 			t.Fatalf("rhs=%v dense=%v: %v", rhs, dense, err)
 		}
@@ -278,12 +278,12 @@ func TestLUDenseWarmEquivalence(t *testing.T) {
 	// Appended-cut repair on both representations from the same basis.
 	cut := rebuildFixture(7)
 	cut.AddConstraint(LE, 10, Term{0, 1}, Term{1, 2})
-	coldCut, err := SolveRevisedWith(cut, RevisedOptions{DenseBasis: true})
+	coldCut, err := SolveWith(cut, Options{denseBasis: true})
 	if err != nil || coldCut.Status != Optimal {
 		t.Fatalf("cut cold: %v %v", coldCut.Status, err)
 	}
 	for _, dense := range []bool{false, true} {
-		warm, err := SolveRevisedWith(cut, RevisedOptions{Warm: basis, DenseBasis: dense})
+		warm, err := SolveWith(cut, Options{Warm: basis, denseBasis: dense})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,8 @@ import (
 	"calib/internal/lp"
 )
 
-// Example solves a tiny diet-style LP with all three engines.
+// Example solves a tiny diet-style LP with the float and the exact
+// rational engine.
 func Example() {
 	p := lp.NewProblem()
 	x := p.AddVar("x", 2) // cost per unit of x
@@ -14,16 +15,13 @@ func Example() {
 	p.AddConstraint(lp.GE, 10, lp.Term{Var: x, Coeff: 1}, lp.Term{Var: y, Coeff: 2}) // nutrition
 	p.AddConstraint(lp.LE, 8, lp.Term{Var: x, Coeff: 1})                             // supply
 
-	dense, _ := lp.Solve(p)
-	revised, _ := lp.SolveRevised(p)
+	float, _ := lp.Solve(p)
 	rational, _ := lp.SolveRational(p)
-	fmt.Printf("dense:    %.1f\n", dense.Objective)
-	fmt.Printf("revised:  %.1f\n", revised.Objective)
+	fmt.Printf("float:    %.1f\n", float.Objective)
 	fmt.Printf("rational: %.1f\n", rational.ObjectiveFloat())
-	// All three agree: x=8, y=1 -> 2*8 + 3*1 = 19.
+	// Both agree: x=8, y=1 -> 2*8 + 3*1 = 19.
 	// Output:
-	// dense:    19.0
-	// revised:  19.0
+	// float:    19.0
 	// rational: 19.0
 }
 

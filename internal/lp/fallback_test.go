@@ -36,7 +36,7 @@ func TestColdFallbackDivergenceCounter(t *testing.T) {
 	warm := &Basis{Basic: []int{x, 3}, Vars: 2, Rows: 2}
 
 	reg := obs.NewRegistry()
-	sol, err := SolveRevisedWith(p, RevisedOptions{Warm: warm, Metrics: reg})
+	sol, err := SolveWith(p, Options{Warm: warm, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,13 +69,13 @@ func TestWarmHitCounters(t *testing.T) {
 	p.SetUpper(y, 10)
 	p.AddConstraint(GE, 15, Term{x, 1}, Term{y, 1})
 	p.AddConstraint(LE, 12, Term{y, 1})
-	first, err := SolveRevised(p)
+	first, err := Solve(p)
 	if err != nil || first.Status != Optimal {
 		t.Fatalf("cold solve: %v %v", first.Status, err)
 	}
 
 	reg := obs.NewRegistry()
-	sol, err := SolveRevisedWith(p, RevisedOptions{Warm: first.Basis, Metrics: reg})
+	sol, err := SolveWith(p, Options{Warm: first.Basis, Metrics: reg})
 	if err != nil || sol.Status != Optimal || math.Abs(sol.Objective-first.Objective) > 1e-9 {
 		t.Fatalf("warm solve: %v %v err %v", sol.Status, sol.Objective, err)
 	}

@@ -23,9 +23,9 @@ func decodeLP(data []byte) *Problem {
 		p.AddVar("x", float64(next()%9-4))
 	}
 	// Finite upper bounds on a fuzz-chosen subset of variables: the
-	// revised engine takes them through its native bounded ratio test
-	// while dense/rational materialize rows, so agreement exercises the
-	// bound-flip logic against the row formulation.
+	// float engine takes them through its native bounded ratio test
+	// while the tableau and rational engines materialize rows, so agreement
+	// exercises the bound-flip logic against the row formulation.
 	for v := 0; v < nv; v++ {
 		if next()%3 == 0 {
 			p.SetUpper(v, float64(next()%12))
@@ -54,9 +54,10 @@ func decodeLP(data []byte) *Problem {
 	return p
 }
 
-// FuzzEnginesAgree checks that the dense, revised, and rational
-// engines agree on status and optimum for arbitrary small LPs, and
-// that none of them panic.
+// FuzzEnginesAgree checks that the float engine on its sparse LU
+// basis, the float engine on the dense reference basis, the dense
+// tableau and the exact rational engine agree on status and optimum
+// for arbitrary small LPs, and that none of them panic.
 func FuzzEnginesAgree(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 1, 2, 3, 2, 1, 1, 0, 0, 5, 2, 2, 2, 1, 9})
@@ -64,11 +65,15 @@ func FuzzEnginesAgree(f *testing.F) {
 	f.Add([]byte{5, 4, 3, 2, 1, 0, 4, 1, 1, 1, 1, 1, 2, 15, 2, 2, 0, 3, 1, 1, 7})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := decodeLP(data)
-		dense, err := Solve(p)
+		lu, err := Solve(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		revised, err := SolveRevised(p)
+		dense, err := SolveWith(p, Options{denseBasis: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tableau, err := SolveTableau(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,21 +81,26 @@ func FuzzEnginesAgree(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rational.Status == IterLimit || dense.Status == IterLimit || revised.Status == IterLimit {
+		if rational.Status == IterLimit || lu.Status == IterLimit ||
+			dense.Status == IterLimit || tableau.Status == IterLimit {
 			return // pathological; nothing to compare
 		}
-		if dense.Status != rational.Status || revised.Status != rational.Status {
-			t.Fatalf("status disagreement: dense=%v revised=%v rational=%v\n%s",
-				dense.Status, revised.Status, rational.Status, p)
+		if lu.Status != rational.Status || dense.Status != rational.Status ||
+			tableau.Status != rational.Status {
+			t.Fatalf("status disagreement: lu=%v dense=%v tableau=%v rational=%v\n%s",
+				lu.Status, dense.Status, tableau.Status, rational.Status, p)
 		}
 		if rational.Status == Optimal {
 			ro := rational.ObjectiveFloat()
 			tol := 1e-5 * (1 + math.Abs(ro))
-			if math.Abs(dense.Objective-ro) > tol {
-				t.Fatalf("dense objective %v != rational %v\n%s", dense.Objective, ro, p)
+			if math.Abs(lu.Objective-ro) > tol {
+				t.Fatalf("lu objective %v != rational %v\n%s", lu.Objective, ro, p)
 			}
-			if math.Abs(revised.Objective-ro) > tol {
-				t.Fatalf("revised objective %v != rational %v\n%s", revised.Objective, ro, p)
+			if math.Abs(dense.Objective-ro) > tol {
+				t.Fatalf("dense-basis objective %v != rational %v\n%s", dense.Objective, ro, p)
+			}
+			if math.Abs(tableau.Objective-ro) > tol {
+				t.Fatalf("tableau objective %v != rational %v\n%s", tableau.Objective, ro, p)
 			}
 		}
 	})

@@ -23,8 +23,9 @@ func TestBealeCycling(t *testing.T) {
 	p.AddConstraint(LE, 0, Term{x4, 0.5}, Term{x5, -90}, Term{x6, -1.0 / 50}, Term{x7, 3})
 	p.AddConstraint(LE, 1, Term{x6, 1})
 	for name, solve := range map[string]func(*Problem) (*Solution, error){
-		"dense":   Solve,
-		"revised": SolveRevised,
+		"lu":      Solve,
+		"dense":   func(p *Problem) (*Solution, error) { return SolveWith(p, Options{denseBasis: true}) },
+		"tableau": func(p *Problem) (*Solution, error) { return SolveTableau(p, nil) },
 	} {
 		sol, err := solve(p)
 		if err != nil {

@@ -262,7 +262,7 @@ func (ps *Presolved) Restore(x []float64) []float64 {
 	return out
 }
 
-// SolvePresolved presolves p, solves the reduction with the dense
+// SolvePresolved presolves p, solves the reduction with the float
 // engine, and restores the solution. The objective includes the
 // contribution of presolve-fixed variables.
 func SolvePresolved(p *Problem) (*Solution, error) {

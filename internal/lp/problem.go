@@ -2,13 +2,13 @@
 // relaxation of Fineman & Sheridan (SPAA 2015) and the time-indexed
 // machine-minimization relaxation.
 //
-// Two engines solve the same Problem type:
-//
-//   - Solve: a dense two-phase tableau simplex over float64, with
-//     Dantzig pricing and a Bland's-rule fallback that guarantees
-//     termination under degeneracy;
-//   - SolveRational: an exact simplex over math/big.Rat used to
-//     cross-check the float engine on small problems (experiment T6).
+// Solve/SolveWith is the float engine: a two-phase revised simplex
+// over float64 on a sparse LU basis factorization, with native
+// variable upper bounds and warm starts from a previous basis.
+// SolveRational is an exact simplex over math/big.Rat, used to
+// cross-check the float engine (experiment T6) and behind exact-LP
+// solves. SolveTableau, a dense float64 tableau, is kept only for
+// mm.LPRound (see its comment).
 //
 // All variables are nonnegative; constraints may be <=, >= or =; the
 // objective is always minimization (negate coefficients to maximize).
@@ -70,14 +70,14 @@ type row struct {
 // Problem is a minimization LP over nonnegative variables, each with
 // an optional finite upper bound. Build it with AddVar/AddConstraint
 // (plus SetUpper for bounded variables) and pass it to Solve,
-// SolveRevised, or SolveRational.
+// SolveWith, or SolveRational.
 type Problem struct {
 	obj   []float64
 	names []string
 	rows  []row
 	// upper[v] is the upper bound of variable v (+Inf when absent).
-	// The revised engine handles finite bounds natively in its ratio
-	// test; the dense and rational engines materialize them as rows.
+	// The float engine handles finite bounds natively in its ratio
+	// test; the tableau and rational engines materialize them as rows.
 	upper []float64
 }
 
@@ -266,13 +266,13 @@ type Solution struct {
 	X          []float64 // variable values; valid only when Status == Optimal
 	Iterations int       // simplex pivots performed across both phases
 	// Dual holds the dual value (shadow price) of each constraint row,
-	// in input order; populated by the dense engine when optimal.
+	// in input order; populated by the float engine when optimal.
 	// Signs follow the minimization convention: for a binding <= row
 	// the dual is <= 0 ... the test suite asserts weak duality and
 	// complementary slackness rather than a sign convention.
 	Dual []float64
-	// Basis is the final simplex basis, populated by the revised engine
-	// only. Pass it back via RevisedOptions.Warm to warm-start a
+	// Basis is the final simplex basis, populated by the float engine
+	// only. Pass it back via Options.Warm to warm-start a
 	// related solve (same variables, appended rows, or changed rhs).
 	Basis *Basis
 }

@@ -6,21 +6,41 @@ import (
 	"calib/internal/obs"
 )
 
-// epsFeas is the primal feasibility tolerance of the revised engine:
-// a basic value below -epsFeas or more than epsFeas above its upper
-// bound counts as infeasible (triggering the dual-simplex repair on
-// warm starts).
-const epsFeas = 1e-7
+// Numerical tolerances of the float64 engine.
+const (
+	epsPivot   = 1e-9 // smallest usable pivot magnitude
+	epsReduced = 1e-9 // reduced-cost optimality tolerance
+	epsPhase1  = 1e-7 // residual artificial mass considered infeasible
+	// epsFeas is the primal feasibility tolerance: a basic value below
+	// -epsFeas or more than epsFeas above its upper bound counts as
+	// infeasible (triggering the dual-simplex repair on warm starts).
+	epsFeas = 1e-7
+)
 
-// Basis captures the final state of a revised-simplex solve for
-// warm-starting a related one. It is valid for re-solves of the same
-// Problem after rhs changes or appended rows (the original rows and
-// all variables must be unchanged); anything else falls back to a cold
-// solve.
+// normalizedRel returns the relation of r after multiplying through by
+// -1 when the rhs is negative (LE <-> GE swap, EQ unchanged).
+func normalizedRel(r row) Rel {
+	if r.rhs >= 0 {
+		return r.rel
+	}
+	switch r.rel {
+	case LE:
+		return GE
+	case GE:
+		return LE
+	default:
+		return EQ
+	}
+}
+
+// Basis captures the final state of a solve for warm-starting a
+// related one. It is valid for re-solves of the same Problem after rhs
+// changes or appended rows (the original rows and all variables must
+// be unchanged); anything else falls back to a cold solve.
 type Basis struct {
-	// Basic is the basic column per row, in the revised engine's
-	// standard-form numbering: structural variables first, then one
-	// auxiliary (slack/surplus) column per row, then artificials.
+	// Basic is the basic column per row, in the engine's standard-form
+	// numbering: structural variables first, then one auxiliary
+	// (slack/surplus) column per row, then artificials.
 	Basic []int
 	// AtUpper lists the nonbasic columns resting at their finite upper
 	// bound.
@@ -34,14 +54,13 @@ type Basis struct {
 	// Basis as opaque state; a failed probe just refactorizes.
 	lu *luFactor
 	// binv is the dense inverse when the producing solve ran on the
-	// dense reference representation. Appended rows extend it by a
-	// block-triangular update in O(k*m^2); the same probe verification
+	// dense reference representation; the same probe verification
 	// gates its reuse.
 	binv []float64
 }
 
-// RevisedOptions configures SolveRevisedWith.
-type RevisedOptions struct {
+// Options configures SolveWith.
+type Options struct {
 	// Warm is a basis from a previous solve of a structurally
 	// compatible problem (same variables; rows may have been appended;
 	// rhs values may differ). The engine re-installs its factorization
@@ -59,60 +78,60 @@ type RevisedOptions struct {
 	// work done since the last poll; a non-nil return aborts the solve
 	// with Status Aborted and that error. nil never checks.
 	Check CheckFunc
-	// DenseBasis selects the dense explicit-inverse reference
-	// representation instead of the default sparse LU factorization.
-	// The engine also falls back to it on its own when an LU solve ends
-	// in IterLimit (the divergence guard).
-	DenseBasis bool
+	// denseBasis selects the dense explicit-inverse reference
+	// representation instead of the sparse LU factorization. The
+	// engine switches to it on its own when an LU solve ends in
+	// IterLimit (the divergence guard); the in-package equivalence
+	// tests select it directly.
+	denseBasis bool
 }
 
-// checkEvery is the revised engine's check cadence. Batching 32 pivots
-// per poll keeps the hook's cost invisible while still bounding cancel
+// checkEvery is the engine's check cadence. Batching 32 pivots per
+// poll keeps the hook's cost invisible while still bounding cancel
 // latency to a few milliseconds on the largest relaxations the
 // pipeline builds.
 const checkEvery = 32
 
-// SolveRevised runs the two-phase revised simplex: the constraint
-// matrix is kept sparse by column and the basis is maintained as a
-// sparse LU factorization (Markowitz-ordered factorize, column-eta
-// product-form updates, refactorization on fill-in or instability).
-// Compared to the dense tableau of Solve, memory drops from O(m*n) to
-// O(nnz) and FTRAN/BTRAN from O(m*n) to O(nnz), which matters for the
-// TISE relaxations whose column count far exceeds the row count. The
-// original dense m x m inverse survives as a reference implementation
-// (RevisedOptions.DenseBasis) and as the divergence-guard fallback.
+// Solve runs the two-phase revised simplex: the constraint matrix is
+// kept sparse by column and the basis is maintained as a sparse LU
+// factorization (Markowitz-ordered factorize, column-eta product-form
+// updates, refactorization on fill-in or instability). Memory and
+// FTRAN/BTRAN cost are O(nnz), which matters for the TISE relaxations
+// whose column count far exceeds the row count. A dense m x m inverse
+// survives inside the package as the reference implementation and as
+// the divergence-guard fallback.
 //
-// Unlike the dense and rational engines, finite variable upper bounds
-// are handled natively: nonbasic variables rest at either bound and
-// the ratio test performs the standard lower/upper bound-flip, so a
-// bound costs no row at all.
+// Finite variable upper bounds are handled natively: nonbasic
+// variables rest at either bound and the ratio test performs the
+// standard lower/upper bound-flip, so a bound costs no row at all.
 //
-// All engines implement the same contract; the test suite
-// cross-checks them (and the exact rational engine) on every problem.
-func SolveRevised(p *Problem) (*Solution, error) {
-	return SolveRevisedWith(p, RevisedOptions{})
+// The test suite cross-checks the engine against the exact rational
+// engine (SolveRational) on every problem.
+func Solve(p *Problem) (*Solution, error) {
+	return SolveWith(p, Options{})
 }
 
-// SolveRevisedWith is SolveRevised with an optional warm-start basis.
-// The returned Solution carries the final basis for chaining.
-func SolveRevisedWith(p *Problem, opts RevisedOptions) (*Solution, error) {
+// SolveWith is Solve with an optional warm-start basis, metrics
+// registry and cancellation hook. The returned Solution carries the
+// final basis for chaining.
+func SolveWith(p *Problem, opts Options) (*Solution, error) {
 	sol, err := solveRevised(p, opts)
-	if err == nil && sol != nil && sol.Status == IterLimit && !opts.DenseBasis {
+	if err == nil && sol != nil && sol.Status == IterLimit && !opts.denseBasis {
 		// Divergence guard: an LU solve that exhausted its iteration
 		// budget (numerical pathology, cycling, a refactorization that
 		// went singular) is re-run once on the dense reference
 		// representation before the limit is reported.
 		opts.Metrics.Counter(obs.MLPLUDenseFallback).Inc()
-		opts.DenseBasis = true
+		opts.denseBasis = true
 		return solveRevised(p, opts)
 	}
 	return sol, err
 }
 
-func solveRevised(p *Problem, opts RevisedOptions) (*Solution, error) {
+func solveRevised(p *Problem, opts Options) (*Solution, error) {
 	met := opts.Metrics
 	if opts.Warm != nil {
-		sol, ok, reason, err := solveWarm(p, opts.Warm, met, opts.Check, opts.DenseBasis)
+		sol, ok, reason, err := solveWarm(p, opts.Warm, met, opts.Check, opts.denseBasis)
 		if err != nil {
 			// An aborted warm attempt must not silently fall back to a
 			// cold solve: the caller asked to stop.
@@ -132,7 +151,7 @@ func solveRevised(p *Problem, opts RevisedOptions) (*Solution, error) {
 		met.Counter(obs.MLPWarmMisses).Inc()
 		met.CounterWith(obs.MLPColdFallback, "reason", reason).Inc()
 	}
-	return solveCold(p, met, opts.Check, opts.DenseBasis)
+	return solveCold(p, met, opts.Check, opts.denseBasis)
 }
 
 // solveCold is the from-scratch two-phase solve.
@@ -324,7 +343,7 @@ func (t *revTableau) checkpoint(iter int) bool {
 // column for =), then artificials for >= and = rows. Structural
 // columns are assembled into one CSR arena (no per-column
 // allocations); duplicate (row, var) terms are summed and zero sums
-// dropped, as the dense engines do.
+// dropped, as the rational engine does.
 func buildSparse(p *Problem, met *obs.Registry, dense bool) *revTableau {
 	ws := wsPool.Get().(*workspace)
 	m := p.NumRows()

@@ -2,13 +2,6 @@ package lp
 
 import "math"
 
-// Numerical tolerances for the float64 engine.
-const (
-	epsPivot   = 1e-9 // smallest usable pivot magnitude
-	epsReduced = 1e-9 // reduced-cost optimality tolerance
-	epsPhase1  = 1e-7 // residual artificial mass considered infeasible
-)
-
 // tableau is a dense simplex tableau: m constraint rows plus one cost
 // row, n columns plus one right-hand-side column, stored row-major.
 type tableau struct {
@@ -30,18 +23,20 @@ func (t *tableau) set(i, j int, v float64) { t.a[i*(t.n+1)+j] = v }
 func (t *tableau) row(i int) []float64     { return t.a[i*(t.n+1) : (i+1)*(t.n+1)] }
 func (t *tableau) rhs(i int) float64       { return t.at(i, t.n) }
 
-// Solve runs the two-phase dense simplex on p. Finite variable upper
-// bounds are materialized as explicit rows (the dense tableau has no
-// native bound handling); their duals are trimmed from Solution.Dual.
-func Solve(p *Problem) (*Solution, error) {
-	return SolveChecked(p, nil)
-}
-
-// SolveChecked is Solve with a cancellation/budget hook consulted once
-// per pivot (a dense pivot is O(m*n), so the per-pivot atomic check is
-// noise). On abort the Solution carries Status Aborted and the check's
-// error is returned.
-func SolveChecked(p *Problem, check CheckFunc) (*Solution, error) {
+// SolveTableau runs the two-phase simplex on a dense tableau: Dantzig
+// pricing with a Bland's-rule fallback, finite variable upper bounds
+// materialized as explicit rows (their duals are trimmed from
+// Solution.Dual). check, when non-nil, is consulted once per pivot (a
+// dense pivot is O(m*n), so the per-pivot check is noise); on abort
+// the Solution carries Status Aborted and the check's error is
+// returned.
+//
+// Solve is the float engine; SolveTableau is kept only for mm.LPRound.
+// Its LP has many optimal vertices and LPRound rounds the returned
+// marginals at random, so its schedules depend on which vertex the
+// engine lands on, and the revised engine lands on different ones
+// (testdata/golden/lp_paths.json pins the tableau's answers).
+func SolveTableau(p *Problem, check CheckFunc) (*Solution, error) {
 	p, mOrig := p.withBoundRows()
 	t, hasArt := build(p)
 	sol := &Solution{}
@@ -169,22 +164,6 @@ func build(p *Problem) (*tableau, bool) {
 		}
 	}
 	return t, nArt > 0
-}
-
-// normalizedRel returns the relation of r after multiplying through by
-// -1 when the rhs is negative (LE <-> GE swap, EQ unchanged).
-func normalizedRel(r row) Rel {
-	if r.rhs >= 0 {
-		return r.rel
-	}
-	switch r.rel {
-	case LE:
-		return GE
-	case GE:
-		return LE
-	default:
-		return EQ
-	}
 }
 
 // installCost writes the cost row for the given per-column costs and

@@ -8,36 +8,47 @@ import (
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-// solveBoth runs all three engines (dense float, revised float, exact
-// rational) and checks they agree on status and objective, returning
-// the dense float solution.
+// solveBoth runs the float engine on both basis representations (the
+// sparse LU default and the dense reference inverse), the dense
+// tableau and the exact rational engine, checks they agree on status
+// and objective, and returns the default float solution.
 func solveBoth(t *testing.T, p *Problem) *Solution {
 	t.Helper()
 	fs, err := Solve(p)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
-	rv, err := SolveRevised(p)
+	ds, err := SolveWith(p, Options{denseBasis: true})
 	if err != nil {
-		t.Fatalf("SolveRevised: %v", err)
+		t.Fatalf("SolveWith(dense basis): %v", err)
+	}
+	ts, err := SolveTableau(p, nil)
+	if err != nil {
+		t.Fatalf("SolveTableau: %v", err)
 	}
 	rs, err := SolveRational(p)
 	if err != nil {
 		t.Fatalf("SolveRational: %v", err)
 	}
 	if fs.Status != rs.Status {
-		t.Fatalf("status mismatch: dense %v, rational %v", fs.Status, rs.Status)
+		t.Fatalf("status mismatch: float %v, rational %v", fs.Status, rs.Status)
 	}
-	if rv.Status != rs.Status {
-		t.Fatalf("status mismatch: revised %v, rational %v", rv.Status, rs.Status)
+	if ds.Status != rs.Status {
+		t.Fatalf("status mismatch: dense basis %v, rational %v", ds.Status, rs.Status)
+	}
+	if ts.Status != rs.Status {
+		t.Fatalf("status mismatch: tableau %v, rational %v", ts.Status, rs.Status)
 	}
 	if fs.Status == Optimal {
 		ro := rs.ObjectiveFloat()
 		if !approx(fs.Objective, ro, 1e-6*(1+math.Abs(ro))) {
-			t.Fatalf("objective mismatch: dense %v, rational %v", fs.Objective, ro)
+			t.Fatalf("objective mismatch: float %v, rational %v", fs.Objective, ro)
 		}
-		if !approx(rv.Objective, ro, 1e-6*(1+math.Abs(ro))) {
-			t.Fatalf("objective mismatch: revised %v, rational %v", rv.Objective, ro)
+		if !approx(ds.Objective, ro, 1e-6*(1+math.Abs(ro))) {
+			t.Fatalf("objective mismatch: dense basis %v, rational %v", ds.Objective, ro)
+		}
+		if !approx(ts.Objective, ro, 1e-6*(1+math.Abs(ro))) {
+			t.Fatalf("objective mismatch: tableau %v, rational %v", ts.Objective, ro)
 		}
 	}
 	return fs

@@ -134,7 +134,7 @@ func (l LPRound) SolveStats(inst *ise.Instance) (*Schedule, Stats, error) {
 			prob.AddConstraint(lp.LE, 0, terms...)
 		}
 	}
-	sol, err := lp.SolveChecked(prob, l.Control.CheckFunc("mm"))
+	sol, err := lp.SolveTableau(prob, l.Control.CheckFunc("mm"))
 	st.LPSolves++
 	met.Counter(obs.MMMLPSolves).Inc()
 	if err != nil && (sol == nil || sol.Status == lp.Aborted) {

@@ -18,7 +18,7 @@ import (
 // LPRound does and falls back to Greedy when rounding loses.
 //
 // Between probes only the overlap rows' right-hand side changes, so
-// the revised engine's basis from the previous machine count maps onto
+// the LP engine's basis from the previous machine count maps onto
 // the next problem unchanged; a handful of dual-simplex pivots repair
 // it instead of a from-scratch two-phase solve. Infeasible probes are
 // re-proven cold by the engine, so the search result is exact LP
@@ -144,7 +144,7 @@ func (l LPSearch) SolveStats(inst *ise.Instance) (*Schedule, Stats, error) {
 		}
 		st.Probes++
 		met.Counter(obs.MMMLPProbes).Inc()
-		sol, err := lp.SolveRevisedWith(prob, lp.RevisedOptions{Warm: warm, Metrics: met, Check: l.Control.CheckFunc("mm")})
+		sol, err := lp.SolveWith(prob, lp.Options{Warm: warm, Metrics: met, Check: l.Control.CheckFunc("mm")})
 		if err == nil {
 			met.Counter(obs.MLPPivots).Add(int64(sol.Iterations))
 			if sol.Status == lp.Infeasible {

@@ -12,8 +12,8 @@ const (
 	MLPWarmMisses   = "lp_warm_start_misses_total"      // warm bases abandoned (see lp_cold_fallback_total reasons)
 	MLPColdFallback = "lp_cold_fallback_total"          // cold solves forced by a failed warm start; labeled reason=...
 	MLPColdSolves   = "lp_cold_solves_total"            // from-scratch two-phase solves (includes fallbacks)
-	MLPBinvHits     = "lp_binv_reuse_hits_total"        // block-triangular basis-inverse extensions that verified
-	MLPBinvMisses   = "lp_binv_reuse_misses_total"      // extension probes that failed and refactorized
+	MLPBinvHits     = "lp_binv_reuse_hits_total"        // warm factorizations reused after the probe check
+	MLPBinvMisses   = "lp_binv_reuse_misses_total"      // warm factorizations rejected (refactorized instead)
 	MLPDualRepair   = "lp_dual_repair_iterations_total" // dual-simplex pivots spent repairing warm bases
 
 	// internal/lp — sparse LU basis factorization (default representation).
@@ -23,11 +23,8 @@ const (
 	MLPLUFillRatio     = "lp_lu_fill_ratio"           // gauge: nnz(L+U) / nnz(B) of the last factorization
 	MLPLUDenseFallback = "lp_lu_dense_fallback_total" // LU solves that hit IterLimit and re-ran on the dense reference basis
 
-	// internal/tise — long-window LP relaxation and cut loop.
-	MTISEResolves  = "tise_resolves_total"      // LP solves across the lazy-cut chain
-	MTISECutRounds = "tise_cut_rounds_total"    // separation rounds that ran
-	MTISECuts      = "tise_cuts_total"          // constraint (2) rows ever materialized
-	MTISEViolated  = "tise_violated_rows_total" // violated rows found by separation
+	// internal/tise — long-window LP relaxation.
+	MTISEResolves = "tise_resolves_total" // TISE LP relaxations solved
 
 	// internal/decomp + internal/core — time-component decomposition.
 	MDecompComponents = "decomp_components"        // gauge: components in the last solve
@@ -168,7 +165,7 @@ func Declare(r *Registry) {
 		MLPPivots, MLPBoundFlips, MLPWarmHits, MLPWarmMisses,
 		MLPColdFallback, MLPColdSolves, MLPBinvHits, MLPBinvMisses,
 		MLPDualRepair, MLPLUFactorize, MLPLUDenseFallback,
-		MTISEResolves, MTISECutRounds, MTISECuts, MTISEViolated,
+		MTISEResolves,
 		MDecompTasks,
 		MRobustFallback, MRobustRungAnswers, MRobustDeadlineHits,
 		MRobustBudgetHits, MRobustPanics,
@@ -285,8 +282,8 @@ var helpText = map[string]string{
 	MLPWarmMisses:   "Warm-started bases abandoned for a cold solve.",
 	MLPColdFallback: "Cold solves forced by a failed warm start, by reason.",
 	MLPColdSolves:   "From-scratch two-phase LP solves, including fallbacks.",
-	MLPBinvHits:     "Block-triangular basis-inverse extensions that verified.",
-	MLPBinvMisses:   "Basis-inverse extension probes that refactorized instead.",
+	MLPBinvHits:     "Warm basis factorizations reused after the probe check.",
+	MLPBinvMisses:   "Warm basis factorizations rejected and refactorized instead.",
 	MLPDualRepair:   "Dual-simplex pivots spent repairing warm bases.",
 
 	MLPLUFactorize:     "Full Markowitz LU factorizations of the simplex basis.",
@@ -295,10 +292,7 @@ var helpText = map[string]string{
 	MLPLUFillRatio:     "nnz(L+U) over nnz(B) of the last LU factorization.",
 	MLPLUDenseFallback: "LU solves that re-ran on the dense reference basis.",
 
-	MTISEResolves:  "LP solves across the lazy-cut chain.",
-	MTISECutRounds: "Cut separation rounds.",
-	MTISECuts:      "Constraint rows ever materialized by separation.",
-	MTISEViolated:  "Violated rows found by separation.",
+	MTISEResolves: "TISE LP relaxations solved.",
 
 	MDecompComponents: "Time components in the last decomposed solve.",
 	MDecompTasks:      "Component solves dispatched to the worker pool.",

@@ -49,8 +49,8 @@ var (
 type Error struct {
 	// Kind is one of the package sentinels; errors.Is(err, Kind) holds.
 	Kind error
-	// Phase names the pipeline stage: "lp", "tise/cuts", "exact",
-	// "mm", "shortwin", "pool", ...
+	// Phase names the pipeline stage: "lp", "exact", "mm",
+	// "shortwin", "pool", ...
 	Phase string
 	// Component is the decomposition component index, -1 when not
 	// applicable.

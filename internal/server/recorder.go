@@ -43,8 +43,8 @@ type Record struct {
 	// Cache is the singleflight role: "hit", "leader", or "follower".
 	Cache string `json:"cache,omitempty"`
 	// Warm says where warmth came from: "cache" (hit), "singleflight"
-	// (follower of a concurrent identical solve), "lp_basis" (leader
-	// solve with LP warm-start enabled), or "cold".
+	// (follower of a concurrent identical solve), or "cold" (leader
+	// solve).
 	Warm string `json:"warm,omitempty"`
 	// Rung is the robust ladder's answering rung summary ("exact,lp").
 	Rung string `json:"rung,omitempty"`

@@ -86,9 +86,8 @@ type Config struct {
 	RetryAfter time.Duration
 	// MaxBody bounds request bodies in bytes (0 = 16 MiB).
 	MaxBody int64
-	// WarmStart and Parallelism configure the underlying solver (see
+	// Parallelism configures the underlying solver (see
 	// calib.Options).
-	WarmStart   bool
 	Parallelism int
 	// Metrics receives the service_*, cache_* and solver series
 	// (nil = a private registry, so gauges still work).
@@ -337,7 +336,6 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // still answers any singleflight waiters.
 func (s *Server) defaultSolve(ctx context.Context, inst *ise.Instance, timeout time.Duration, budget int64) (*Result, error) {
 	o := &calib.Options{
-		WarmStart:   s.cfg.WarmStart,
 		Parallelism: s.cfg.Parallelism,
 		Metrics:     s.cfg.Metrics,
 		Context:     ctx,
@@ -555,8 +553,6 @@ func (s *Server) solveOne(ctx context.Context, inst *calib.Instance, o api.Solve
 		rec.Warm = "cache"
 	case role == cache.RoleFollower:
 		rec.Warm = "singleflight"
-	case s.cfg.WarmStart:
-		rec.Warm = "lp_basis"
 	default:
 		rec.Warm = "cold"
 	}

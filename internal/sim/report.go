@@ -35,7 +35,6 @@ type PolicyReport struct {
 	MaxQueue     int     `json:"max_queue"`
 	QueueWaitMS  float64 `json:"queue_wait_ms"`
 	CacheEntries int     `json:"cache_entries"`
-	WarmStart    bool    `json:"warm_start"`
 
 	Requests  int `json:"requests"`
 	Shed      int `json:"shed"`
@@ -110,7 +109,6 @@ func buildPolicyReport(w *Workload, pol PolicySpec, outs []outcome) PolicyReport
 		MaxQueue:     pol.MaxQueue,
 		QueueWaitMS:  pol.QueueWaitMS,
 		CacheEntries: pol.CacheEntries,
-		WarmStart:    pol.WarmStart,
 		Requests:     len(outs),
 	}
 	type agg struct {

@@ -118,8 +118,6 @@ type PolicySpec struct {
 	// CacheEntries sizes the schedule cache (0 = server default,
 	// < 0 = disable storage).
 	CacheEntries int `json:"cache_entries"`
-	// WarmStart enables LP warm starts in the solver.
-	WarmStart bool `json:"warm_start"`
 }
 
 func (p PolicySpec) withDefaults() PolicySpec {

@@ -1,6 +1,7 @@
 package tise
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -73,65 +74,48 @@ func TestSolveIdenticalJobs(t *testing.T) {
 }
 
 // TestSolveRevisedEngineEndToEnd runs the whole long-window pipeline on
-// the revised-simplex engine.
+// the float revised-simplex engine and checks its LP optimum against
+// the exact rational engine.
 func TestSolveRevisedEngineEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(88))
 	for trial := 0; trial < 6; trial++ {
 		inst, _ := workload.Long(rng, 8, 1, 10)
-		res, err := Solve(inst, Options{Engine: Revised})
+		res, err := Solve(inst, Options{Engine: Float64})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		if err := ise.ValidateTISE(inst, res.Schedule); err != nil {
 			t.Fatalf("trial %d: infeasible: %v", trial, err)
 		}
-		// The revised engine must match the dense engine's optimum.
-		dense, err := Solve(inst, Options{Engine: Float64})
+		exact, err := SolveLP(inst, 3*inst.M, Rational)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := res.LP.Objective - dense.LP.Objective; d > 1e-6 || d < -1e-6 {
-			t.Errorf("trial %d: LP objectives differ: revised %v, dense %v",
-				trial, res.LP.Objective, dense.LP.Objective)
+		if d := res.LP.Objective - exact.Objective; d > 1e-6 || d < -1e-6 {
+			t.Errorf("trial %d: LP objectives differ: float %v, rational %v",
+				trial, res.LP.Objective, exact.Objective)
 		}
 	}
 }
 
-// TestLazyCutsMatchesDirectOnSolve runs full pipelines under both row
-// strategies and compares the LP optima.
-func TestLazyCutsMatchesDirectOnSolve(t *testing.T) {
-	rng := rand.New(rand.NewSource(89))
-	inst, _ := workload.Long(rng, 8, 1, 10)
-	direct, err := SolveLPWith(inst, 3, Float64, Direct)
-	if err != nil {
-		t.Fatal(err)
+// TestNumericalErrorDistinct checks the error taxonomy: infeasibility
+// and numerical failure are distinguishable via errors.As.
+func TestNumericalErrorDistinct(t *testing.T) {
+	in := ise.NewInstance(10, 1)
+	in.AddJob(0, 20, 8)
+	in.AddJob(0, 20, 8)
+	in.AddJob(0, 20, 8)
+	_, err := SolveLP(in, 1, Float64)
+	var inf *InfeasibleError
+	if !errors.As(err, &inf) {
+		t.Fatalf("expected *InfeasibleError, got %v", err)
 	}
-	lazy, err := SolveLPWith(inst, 3, Float64, LazyCuts)
-	if err != nil {
-		t.Fatal(err)
+	var num *NumericalError
+	if errors.As(err, &num) {
+		t.Fatal("InfeasibleError must not satisfy *NumericalError")
 	}
-	if d := direct.Objective - lazy.Objective; d > 1e-6 || d < -1e-6 {
-		t.Fatalf("objectives differ: direct %v, lazy %v", direct.Objective, lazy.Objective)
-	}
-	if lazy.CutRounds == 0 {
-		t.Error("lazy strategy recorded no cut rounds")
-	}
-	// The lazy final solution must satisfy every constraint (2) row.
-	for j := range lazy.X {
-		for i := range lazy.Points {
-			if lazy.X[j][i] > lazy.C[i]+1e-6 {
-				t.Fatalf("constraint (2) violated in lazy solution: X[%d][%d]=%v > C=%v",
-					j, i, lazy.X[j][i], lazy.C[i])
-			}
-		}
-	}
-}
-
-// TestStrategyString covers the enum printer.
-func TestStrategyString(t *testing.T) {
-	for _, s := range []Strategy{Direct, LazyCuts, Strategy(9)} {
-		if s.String() == "" {
-			t.Errorf("empty string for strategy %d", int(s))
-		}
+	ne := &NumericalError{MPrime: 3}
+	if ne.Error() == "" {
+		t.Fatal("empty NumericalError message")
 	}
 }

@@ -14,21 +14,12 @@ type Engine int
 
 // LP engines.
 const (
-	// Float64 uses the dense two-phase float tableau simplex (default).
+	// Float64 is the float64 revised simplex on a sparse LU basis
+	// factorization (internal/lp.SolveWith), the default.
 	Float64 Engine = iota
 	// Rational uses exact big.Rat simplex (slow; small instances and
 	// cross-validation only).
 	Rational
-	// Revised uses the sparse-column revised simplex with a sparse LU
-	// basis factorization (Markowitz-ordered, Forrest–Tomlin column
-	// updates): same float64 arithmetic as Float64 but O(nnz) memory
-	// and solves instead of the dense tableau's O(m*n).
-	Revised
-	// RevisedDense is Revised on its dense explicit-inverse reference
-	// representation (O(m^2) memory, product-form updates) — the
-	// implementation the LU path is validated against and falls back
-	// to. Selectable for cross-checking and diagnosis.
-	RevisedDense
 )
 
 func (e Engine) String() string {
@@ -37,10 +28,6 @@ func (e Engine) String() string {
 		return "float64"
 	case Rational:
 		return "rational"
-	case Revised:
-		return "revised"
-	case RevisedDense:
-		return "revised-dense"
 	default:
 		return fmt.Sprintf("Engine(%d)", int(e))
 	}
@@ -62,17 +49,13 @@ type Fractional struct {
 	Objective float64
 	// MPrime is the machine bound m' the LP was solved for.
 	MPrime int
-	// Iterations counts simplex pivots (summed over cut rounds).
+	// Iterations counts simplex pivots.
 	Iterations int
-	// CutRounds and CutsAdded describe the lazy-cut loop (zero under
-	// the Direct strategy): how many resolves happened and how many
-	// constraint (2) rows were ever materialized.
-	CutRounds, CutsAdded int
 	// MachinePrice[i] is the dual value of constraint (1) at Points[i]
 	// — the shadow price of the m' machine cap on the window ending at
 	// that point. Nonzero entries mark the congested stretches where
 	// one more machine would reduce the fractional calibration count.
-	// Populated by the float engines (Direct strategy); nil otherwise.
+	// Populated by the float engine; nil under the rational engine.
 	MachinePrice []float64
 }
 
@@ -108,21 +91,11 @@ func (e *NumericalError) Error() string {
 // X_{j,points[i]} or -1 for TISE-infeasible pairs.
 //
 // Constraint (2), X_jt <= C_t, contributes one row per feasible
-// (job, point) pair — by far the largest row family. BuildLP emits all
-// of them; BuildLPRelaxed omits them for the lazy-cut strategy of
-// SolveLP.
+// (job, point) pair — by far the largest row family. All rows are
+// built up front: at the sizes measured most pair rows bind, so lazy
+// separation builds most of them anyway and pays for re-solves
+// (EXPERIMENTS.md T6).
 func BuildLP(inst *ise.Instance, mPrime int, points []ise.Time) (p *lp.Problem, cVar []int, xVar [][]int) {
-	p, cVar, xVar = buildLP(inst, mPrime, points, true)
-	return p, cVar, xVar
-}
-
-// BuildLPRelaxed is BuildLP without the constraint (2) rows.
-func BuildLPRelaxed(inst *ise.Instance, mPrime int, points []ise.Time) (p *lp.Problem, cVar []int, xVar [][]int) {
-	p, cVar, xVar = buildLP(inst, mPrime, points, false)
-	return p, cVar, xVar
-}
-
-func buildLP(inst *ise.Instance, mPrime int, points []ise.Time, withPairRows bool) (p *lp.Problem, cVar []int, xVar [][]int) {
 	p = lp.NewProblem()
 	cVar = make([]int, len(points))
 	for i, t := range points {
@@ -158,12 +131,10 @@ func buildLP(inst *ise.Instance, mPrime int, points []ise.Time, withPairRows boo
 		p.AddConstraint(lp.LE, float64(mPrime), terms...)
 	}
 	// (2) X_jt <= C_t for each feasible pair.
-	if withPairRows {
-		for jIdx := range inst.Jobs {
-			for i := range points {
-				if v := xVar[jIdx][i]; v >= 0 {
-					p.AddConstraint(lp.LE, 0, lp.Term{Var: v, Coeff: 1}, lp.Term{Var: cVar[i], Coeff: -1})
-				}
+	for jIdx := range inst.Jobs {
+		for i := range points {
+			if v := xVar[jIdx][i]; v >= 0 {
+				p.AddConstraint(lp.LE, 0, lp.Term{Var: v, Coeff: 1}, lp.Term{Var: cVar[i], Coeff: -1})
 			}
 		}
 	}
@@ -193,93 +164,25 @@ func buildLP(inst *ise.Instance, mPrime int, points []ise.Time, withPairRows boo
 	return p, cVar, xVar
 }
 
-// Strategy selects how the constraint (2) row family is handled.
+// Strategy names the constraint (2) row handling. Direct, which builds
+// every row up front, is the only value. The type is kept only because
+// the benchmark harness (perfbench/) compiles against core.Options'
+// Strategy field and tise.Direct; nothing branches on it.
 type Strategy int
 
-// LP strategies.
-const (
-	// Direct builds every row up front. Measured default: at laptop
-	// scale most X_jt <= C_t rows bind, so cut separation materializes
-	// the majority of them anyway and pays for several from-scratch
-	// resolves (see experiment T6).
-	Direct Strategy = iota
-	// LazyCuts starts from the relaxation without the X_jt <= C_t
-	// rows and adds only the violated ones, resolving until clean.
-	// The final solution satisfies the full LP, so the optimum is
-	// identical to Direct's; worthwhile only when few rows bind.
-	LazyCuts
-	// Bounded also omits the X_jt <= C_t rows but additionally installs
-	// the implied variable bounds X_jt <= 1 (from constraint (4)) and
-	// C_t <= m' (from constraint (1)) before separating violated pair
-	// rows lazily. The bounds cost no rows in the revised engine's
-	// bounded ratio test, tighten the relaxation so far fewer cuts are
-	// ever materialized, and each cut round warm-starts from the
-	// previous basis (dual-simplex repair) instead of solving from
-	// scratch. Exact at convergence: the final solution satisfies the
-	// full LP, so the optimum matches Direct's.
-	Bounded
-)
-
-func (s Strategy) String() string {
-	switch s {
-	case LazyCuts:
-		return "lazy-cuts"
-	case Direct:
-		return "direct"
-	case Bounded:
-		return "bounded"
-	default:
-		return fmt.Sprintf("Strategy(%d)", int(s))
-	}
-}
-
-// cutViolationTol is the slack beyond which an X_jt <= C_t row counts
-// as violated during lazy-cut separation.
-const cutViolationTol = 1e-7
-
-// LPWarm carries reusable state across related TISE LP solves — e.g.
-// adjacent machine counts in a binary search. Basis is the final
-// simplex basis of the previous solve; Cuts lists the constraint (2)
-// rows materialized so far as (job, point-index) pairs, in the order
-// they were appended. X_jt <= C_t is valid for every machine count, so
-// both carry over when only mPrime changes: the next solve installs
-// the cuts up front (preserving row order, which keeps the basis
-// mappable) and warm-starts the revised engine from the basis.
-type LPWarm struct {
-	Basis *lp.Basis
-	Cuts  [][2]int
-}
+// Direct builds every X_jt <= C_t row up front (see BuildLP).
+const Direct Strategy = 0
 
 // SolveLP builds and solves the TISE LP relaxation for inst on mPrime
-// machines using the Direct strategy. It returns an *InfeasibleError
-// when the relaxation is infeasible.
+// machines. It returns an *InfeasibleError when the relaxation is
+// infeasible. Telemetry goes to the process-default registry when one
+// is installed (obs.SetDefault); Solve threads an explicit registry
+// via Options.Metrics instead.
 func SolveLP(inst *ise.Instance, mPrime int, engine Engine) (*Fractional, error) {
-	return SolveLPWith(inst, mPrime, engine, Direct)
+	return solveLP(inst, mPrime, engine, obs.Default(), nil)
 }
 
-// SolveLPWith is SolveLP with an explicit row strategy. Telemetry goes
-// to the process-default registry when one is installed (obs.SetDefault);
-// Solve threads an explicit registry via Options.Metrics instead.
-func SolveLPWith(inst *ise.Instance, mPrime int, engine Engine, strategy Strategy) (*Fractional, error) {
-	return solveLP(inst, mPrime, engine, strategy, nil, obs.Default(), nil)
-}
-
-// SolveLPBounded runs the Bounded strategy on the revised engine with
-// cross-solve warm state. warm may be nil (no reuse); otherwise it is
-// updated in place with the final basis and cut pool so the next call
-// — typically the adjacent machine count in a binary search — resumes
-// from it.
-func SolveLPBounded(inst *ise.Instance, mPrime int, warm *LPWarm) (*Fractional, error) {
-	return solveLP(inst, mPrime, Revised, Bounded, warm, obs.Default(), nil)
-}
-
-// SolveLPBoundedCtl is SolveLPBounded under a cancellation/budget
-// control (nil means no limits).
-func SolveLPBoundedCtl(inst *ise.Instance, mPrime int, warm *LPWarm, ctl *robust.Control) (*Fractional, error) {
-	return solveLP(inst, mPrime, Revised, Bounded, warm, obs.Default(), ctl)
-}
-
-func solveLP(inst *ise.Instance, mPrime int, engine Engine, strategy Strategy, warm *LPWarm, met *obs.Registry, ctl *robust.Control) (*Fractional, error) {
+func solveLP(inst *ise.Instance, mPrime int, engine Engine, met *obs.Registry, ctl *robust.Control) (*Fractional, error) {
 	for _, j := range inst.Jobs {
 		if !j.IsLong(inst.T) {
 			return nil, fmt.Errorf("tise: %v is not a long-window job", j)
@@ -289,158 +192,45 @@ func solveLP(inst *ise.Instance, mPrime int, engine Engine, strategy Strategy, w
 	if inst.N() == 0 {
 		return &Fractional{MPrime: mPrime}, nil
 	}
-
-	var prob *lp.Problem
-	var cVar []int
-	var xVar [][]int
-	if strategy == Direct {
-		prob, cVar, xVar = BuildLP(inst, mPrime, points)
-	} else {
-		prob, cVar, xVar = BuildLPRelaxed(inst, mPrime, points)
+	prob, cVar, xVar := BuildLP(inst, mPrime, points)
+	sol, err := solveProblem(prob, engine, met, ctl)
+	if err != nil {
+		return nil, err
 	}
-	if strategy == Bounded {
-		// Implied bounds replacing rows: X_jt <= 1 from constraint (4),
-		// C_t <= m' from constraint (1) with the point's own window.
-		for _, v := range cVar {
-			prob.SetUpper(v, float64(mPrime))
-		}
-		for j := range xVar {
-			for _, v := range xVar[j] {
-				if v >= 0 {
-					prob.SetUpper(v, 1)
-				}
-			}
-		}
+	// Pivots are counted here, once per solve, so the series covers
+	// both engines; the float engine records only its internal series
+	// (warm hits, fallbacks, LU telemetry) itself.
+	met.Counter(obs.MTISEResolves).Inc()
+	met.Counter(obs.MLPPivots).Add(int64(sol.Iterations))
+	switch sol.Status {
+	case lp.Optimal:
+	case lp.Infeasible:
+		return nil, &InfeasibleError{MPrime: mPrime}
+	default:
+		return nil, &NumericalError{MPrime: mPrime, Status: sol.Status}
 	}
 
-	frac := &Fractional{MPrime: mPrime}
-	added := map[[2]int]bool{} // (job, point) rows already materialized
-	var basis *lp.Basis
-	if warm != nil {
-		// Re-materialize the carried cut pool in its original order so
-		// the carried basis maps onto matching rows.
-		for _, c := range warm.Cuts {
-			j, i := c[0], c[1]
-			if v := xVar[j][i]; v >= 0 && !added[c] {
-				prob.AddConstraint(lp.LE, 0,
-					lp.Term{Var: v, Coeff: 1}, lp.Term{Var: cVar[i], Coeff: -1})
-				added[c] = true
-			}
-		}
-		basis = warm.Basis
-	}
-	const maxRounds = 100
-	var xs []float64
-	var obj float64
-	var duals []float64
-	for round := 0; ; round++ {
-		// The cut loop is the tise-level long-running loop: each round
-		// can add hundreds of rows and trigger a full resolve, so check
-		// between rounds (the per-pivot hooks cover the inside).
-		if err := ctl.ErrPhase("tise/cuts"); err != nil {
-			return nil, err
-		}
-		status, solX, solObj, iters, solDuals, solBasis, err := solveProblem(prob, engine, basis, met, ctl)
-		if err != nil {
-			return nil, err
-		}
-		frac.Iterations += iters
-		// Pivots are counted here, once per engine dispatch, so the
-		// series covers all three engines; the revised engine records
-		// only its internal series (warm hits, fallbacks, ...) itself.
-		met.Counter(obs.MTISEResolves).Inc()
-		met.Counter(obs.MLPPivots).Add(int64(iters))
-		switch status {
-		case lp.Optimal:
-		case lp.Infeasible:
-			if warm != nil {
-				// The basis that proved infeasibility is not useful (and
-				// not returned); drop the stale one but keep the cuts.
-				warm.Basis = nil
-			}
-			return nil, &InfeasibleError{MPrime: mPrime}
-		default:
-			return nil, &NumericalError{MPrime: mPrime, Status: status}
-		}
-		xs, obj = solX, solObj
-		duals = solDuals
-		basis = solBasis
-		if strategy == Direct {
-			break
-		}
-		// Separation: when a job violates any X_jt <= C_t, materialize
-		// its whole feasible row family. Cutting only the violated
-		// points makes the mass wander to other points of the same job
-		// and costs dozens of degenerate repair rounds; per-job batching
-		// converges in 2-3 rounds on every workload we generate.
-		violated, violPairs := 0, 0
-		for j := range xVar {
-			jViolated := false
-			for i := range points {
-				v := xVar[j][i]
-				if v < 0 {
-					continue
-				}
-				if xs[v] > xs[cVar[i]]+cutViolationTol {
-					jViolated = true
-					violPairs++
-				}
-			}
-			if !jViolated {
-				continue
-			}
-			for i := range points {
-				v := xVar[j][i]
-				if v < 0 || added[[2]int{j, i}] {
-					continue
-				}
-				prob.AddConstraint(lp.LE, 0,
-					lp.Term{Var: v, Coeff: 1}, lp.Term{Var: cVar[i], Coeff: -1})
-				added[[2]int{j, i}] = true
-				if warm != nil {
-					warm.Cuts = append(warm.Cuts, [2]int{j, i})
-				}
-				violated++
-			}
-		}
-		frac.CutRounds = round + 1
-		frac.CutsAdded = len(added)
-		met.Counter(obs.MTISECutRounds).Inc()
-		met.Counter(obs.MTISEViolated).Add(int64(violPairs))
-		met.Counter(obs.MTISECuts).Add(int64(violated))
-		if violated == 0 {
-			break
-		}
-		if round >= maxRounds {
-			return nil, &NumericalError{MPrime: mPrime, Status: lp.IterLimit}
-		}
-	}
-	if warm != nil {
-		warm.Basis = basis
-	}
-
-	frac.Points = points
-	frac.Objective = obj
+	frac := &Fractional{Points: points, Objective: sol.Objective, MPrime: mPrime, Iterations: sol.Iterations}
 	// BuildLP emits the constraint (1) rows first, one per point, so
 	// their duals are the leading prefix of the dual vector. The sign
 	// convention is <=-row duals <= 0; negate so congestion prices
 	// read as nonnegative.
-	if strategy == Direct && len(duals) >= len(points) {
+	if len(sol.Dual) >= len(points) {
 		frac.MachinePrice = make([]float64, len(points))
 		for i := range points {
-			frac.MachinePrice[i] = -duals[i]
+			frac.MachinePrice[i] = -sol.Dual[i]
 		}
 	}
 	frac.C = make([]float64, len(points))
 	frac.X = make([][]float64, inst.N())
 	for i := range points {
-		frac.C[i] = xs[cVar[i]]
+		frac.C[i] = sol.X[cVar[i]]
 	}
 	for j := range frac.X {
 		frac.X[j] = make([]float64, len(points))
 		for i := range points {
 			if v := xVar[j][i]; v >= 0 {
-				frac.X[j][i] = xs[v]
+				frac.X[j][i] = sol.X[v]
 			}
 		}
 	}
@@ -448,83 +238,24 @@ func solveLP(inst *ise.Instance, mPrime int, engine Engine, strategy Strategy, w
 }
 
 // solveProblem dispatches to the selected engine and normalizes the
-// result to float64. duals is nil for the rational engine; the final
-// basis is returned (and the warm one consumed) by the revised engine
-// only.
-func solveProblem(prob *lp.Problem, engine Engine, warm *lp.Basis, met *obs.Registry, ctl *robust.Control) (lp.Status, []float64, float64, int, []float64, *lp.Basis, error) {
+// result to a float Solution (without duals under the rational
+// engine).
+func solveProblem(prob *lp.Problem, engine Engine, met *obs.Registry, ctl *robust.Control) (*lp.Solution, error) {
 	check := ctl.CheckFunc("lp")
-	switch engine {
-	case Rational:
-		sol, err := lp.SolveRationalChecked(prob, check)
-		if err != nil {
-			return 0, nil, 0, 0, nil, nil, err
-		}
-		if sol.Status != lp.Optimal {
-			return sol.Status, nil, 0, sol.Iterations, nil, nil, nil
-		}
-		xs := make([]float64, len(sol.X))
-		for i, r := range sol.X {
-			xs[i], _ = r.Float64()
-		}
-		return sol.Status, xs, sol.ObjectiveFloat(), sol.Iterations, nil, nil, nil
-	case Revised, RevisedDense:
-		sol, err := lp.SolveRevisedWith(prob, lp.RevisedOptions{
-			Warm: warm, Metrics: met, Check: check,
-			DenseBasis: engine == RevisedDense,
-		})
-		if err != nil {
-			return 0, nil, 0, 0, nil, nil, err
-		}
-		return sol.Status, sol.X, sol.Objective, sol.Iterations, sol.Dual, sol.Basis, nil
-	default:
-		sol, err := lp.SolveChecked(prob, check)
-		if err != nil {
-			return 0, nil, 0, 0, nil, nil, err
-		}
-		return sol.Status, sol.X, sol.Objective, sol.Iterations, sol.Dual, nil, nil
+	if engine != Rational {
+		return lp.SolveWith(prob, lp.Options{Metrics: met, Check: check})
 	}
-}
-
-// MinFeasibleMPrime binary-searches the smallest machine count on
-// which the TISE LP relaxation of inst is feasible, warm-starting each
-// probe from the previous one's basis and cut pool. Probes that come
-// back *NumericalError abort the search; n machines are always
-// feasible (every job in its own calibration), so the search space is
-// [1, n].
-func MinFeasibleMPrime(inst *ise.Instance) (int, error) {
-	return MinFeasibleMPrimeCtl(inst, nil)
-}
-
-// MinFeasibleMPrimeCtl is MinFeasibleMPrime under a cancellation/
-// budget control: the control's limits cover the whole binary search,
-// and a tripped limit surfaces as a robust taxonomy error.
-func MinFeasibleMPrimeCtl(inst *ise.Instance, ctl *robust.Control) (int, error) {
-	n := inst.N()
-	if n == 0 {
-		return 0, nil
+	rs, err := lp.SolveRationalChecked(prob, check)
+	if err != nil {
+		return nil, err
 	}
-	warm := &LPWarm{}
-	lo, hi := 1, n
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		_, err := SolveLPBoundedCtl(inst, mid, warm, ctl)
-		switch err.(type) {
-		case nil:
-			hi = mid
-		case *InfeasibleError:
-			lo = mid + 1
-		default:
-			return 0, err
+	sol := &lp.Solution{Status: rs.Status, Iterations: rs.Iterations}
+	if rs.Status == lp.Optimal {
+		sol.Objective = rs.ObjectiveFloat()
+		sol.X = make([]float64, len(rs.X))
+		for i, r := range rs.X {
+			sol.X[i], _ = r.Float64()
 		}
 	}
-	return lo, nil
-}
-
-// TotalCalibrations returns the fractional calibration mass sum(C_t).
-func (f *Fractional) TotalCalibrations() float64 {
-	var s float64
-	for _, c := range f.C {
-		s += c
-	}
-	return s
+	return sol, nil
 }

@@ -31,6 +31,14 @@ func TestLPSolutionSatisfiesPaperConstraints(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
+		// The float optimum is the exact one.
+		exact, err := SolveLP(inst, mPrime, Rational)
+		if err != nil {
+			t.Fatalf("trial %d: rational: %v", trial, err)
+		}
+		if math.Abs(frac.Objective-exact.Objective) > tol*(1+exact.Objective) {
+			t.Fatalf("trial %d: float objective %v, rational %v", trial, frac.Objective, exact.Objective)
+		}
 		// (6) nonnegativity.
 		for i, c := range frac.C {
 			if c < -tol {

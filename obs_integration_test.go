@@ -27,10 +27,9 @@ func TestTracedSolveEndToEnd(t *testing.T) {
 	tr := calib.NewTrace("solve")
 	met := calib.NewMetrics()
 	sol, err := calib.Solve(inst, &calib.Options{
-		WarmStart: true,
-		MMBox:     calib.MMLPSearch,
-		Trace:     tr,
-		Metrics:   met,
+		MMBox:   calib.MMLPSearch,
+		Trace:   tr,
+		Metrics: met,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +108,6 @@ func TestDecomposedSolveMetrics(t *testing.T) {
 	tr := calib.NewTrace("solve")
 	met := calib.NewMetrics()
 	sol, err := calib.Solve(inst, &calib.Options{
-		WarmStart:   true,
 		Parallelism: 2,
 		Trace:       tr,
 		Metrics:     met,

@@ -3,10 +3,10 @@
 # BENCH_lp.json at the repo root. The x-speedup metrics are quotients
 # (old path time / new path time) reported by the benchmarks
 # themselves; the acceptance floor for T1LongWindowN40/HotPath is 2.0.
-# A telemetry block from one instrumented warm parallel solve (isegen
-# clustered -> isesolve -warm -par 4 -metrics-out) rides along so the
-# report also captures what the solver *did*: warm-start hit rate,
-# cold fallbacks, pivots, pool occupancy. A second report,
+# A telemetry block from one instrumented parallel solve (isegen
+# clustered -> isesolve -par 4 -metrics-out) rides along so the
+# report also captures what the solver *did*: pivots, LU
+# factorizations, cold fallbacks, pool occupancy. A second report,
 # BENCH_service.json, records the ised daemon's end-to-end request
 # numbers (fresh-solve mix and pure cache hits) from the
 # internal/server benchmarks.
@@ -35,7 +35,7 @@ cat "$RAW"
 # One instrumented end-to-end solve on a T1-shaped clustered instance;
 # the metrics JSON is one scalar per line, so awk folds it in below.
 go run ./cmd/isegen -family clustered -n 40 -m 4 -seed 140 >"$INST"
-go run ./cmd/isesolve -warm -par 4 -metrics-out "$MET" "$INST" >/dev/null || {
+go run ./cmd/isesolve -par 4 -metrics-out "$MET" "$INST" >/dev/null || {
 	echo "instrumented solve failed; $OUT left untouched" >&2
 	exit 1
 }
@@ -64,9 +64,6 @@ FNR != NR && /^  "[a-z_]+": [0-9.eE+-]+,?$/ {
 	metric[key] = v
 }
 END {
-	hits = metric["lp_warm_start_hits_total"] + 0
-	misses = metric["lp_warm_start_misses_total"] + 0
-	rate = (hits + misses > 0) ? sprintf("%.3f", hits / (hits + misses)) : ""
 	printf "{\n"
 	printf "  \"date\": \"%s\",\n", stamp
 	printf "  \"go\": \"%s\",\n", gover
@@ -76,15 +73,10 @@ END {
 	printf "    \"required_min\": 2.0\n"
 	printf "  },\n"
 	printf "  \"t8_scaling\": {\n"
-	printf "    \"bounded_vs_pair_rows\": %s,\n", jnum(speedup["BoundedVsPairRows"])
-	printf "    \"warm_vs_cold\": %s,\n", jnum(speedup["WarmVsCold"])
 	printf "    \"decomposed_vs_monolithic\": %s\n", jnum(speedup["DecomposedVsMonolithic"])
 	printf "  },\n"
 	printf "  \"telemetry\": {\n"
 	printf "    \"lp_pivots\": %s,\n", jnum(metric["lp_pivots_total"])
-	printf "    \"lp_warm_start_hits\": %s,\n", jnum(metric["lp_warm_start_hits_total"])
-	printf "    \"lp_warm_start_misses\": %s,\n", jnum(metric["lp_warm_start_misses_total"])
-	printf "    \"lp_warm_hit_rate\": %s,\n", jnum(rate)
 	printf "    \"lp_cold_fallbacks\": %s,\n", jnum(metric["lp_cold_fallback_total"])
 	printf "    \"lp_lu_factorize_total\": %s,\n", jnum(metric["lp_lu_factorize_total"])
 	printf "    \"lp_lu_refactor_total\": %s,\n", jnum(metric["lp_lu_refactor_total"])
