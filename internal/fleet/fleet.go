@@ -477,12 +477,26 @@ func (f *Fleet) reportFailure(n *Node, via string, err error) {
 	}
 }
 
-// reportSuccess feeds one success in: a healthy node's failure streak
-// resets; an ejected node needs ReadmitAfter consecutive successful
-// probes to return (one lucky probe against a flapping backend is not
-// recovery). With replication enabled, recovery enters the warming
-// state first — the node gets its hinted-handoff backlog and a warm
-// transfer before it re-enters routing.
+// reportServed feeds one forward or replication success in: it resets
+// a healthy node's failure streak and nothing else. Only probes move
+// an ejected node toward readmission: a request that was in flight
+// when its node died can still come back successful after later
+// failures ejected the node, and must not readmit a dead backend.
+func (f *Fleet) reportServed(n *Node) {
+	n.mu.Lock()
+	if n.state.Load() == nodeHealthy {
+		n.fails = 0
+	}
+	n.mu.Unlock()
+}
+
+// reportSuccess feeds one successful probe in: a healthy node's
+// failure streak resets; an ejected node needs ReadmitAfter
+// consecutive successful probes to return (one lucky probe against a
+// flapping backend is not recovery). With replication enabled,
+// recovery enters the warming state first — the node gets its
+// hinted-handoff backlog and a warm transfer before it re-enters
+// routing.
 func (f *Fleet) reportSuccess(n *Node) {
 	n.mu.Lock()
 	n.fails = 0

@@ -89,6 +89,51 @@ func TestParseRoster(t *testing.T) {
 	}
 }
 
+// TestStaleForwardDoesNotReadmit: a forward that was in flight when its
+// node was ejected comes back successful afterwards. Only probes may
+// readmit, so even with ReadmitAfter=1 the node must stay ejected.
+func TestStaleForwardDoesNotReadmit(t *testing.T) {
+	arrived, release := make(chan struct{}), make(chan struct{})
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		close(arrived)
+		<-release
+		w.WriteHeader(http.StatusOK)
+	}))
+	defer backend.Close()
+	reg := obs.NewRegistry()
+	f := testFleet(t, []Member{{Name: "a", URL: backend.URL}}, func(c *Config) {
+		c.ReadmitAfter = 1
+		c.Metrics = reg
+	})
+	defer f.Close()
+	n := f.view.Load().byName["a"]
+	done := make(chan error, 1)
+	go func() {
+		req := httptest.NewRequest(http.MethodPost, "/v1/solve", nil)
+		resp, err := NewRouter(f).forward(req, n, "/v1/solve", "stale", []byte("{}"), nil, "test", false)
+		if err == nil {
+			resp.Body.Close()
+		}
+		done <- err
+	}()
+	<-arrived
+	f.reportFailure(n, "test", context.DeadlineExceeded)
+	f.reportFailure(n, "test", context.DeadlineExceeded)
+	if n.state.Load() != nodeEjected {
+		t.Fatal("node not ejected after FailAfter failures")
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatalf("in-flight forward: %v", err)
+	}
+	if n.state.Load() != nodeEjected {
+		t.Error("a stale forward success moved the ejected node out of ejection")
+	}
+	if got := reg.Counter(obs.MFleetReadmits).Value(); got != 0 {
+		t.Errorf("readmit counter = %d, want 0", got)
+	}
+}
+
 // TestSetMembersPreservesHealth: a roster rewrite that keeps a node's
 // name must keep its health state — otherwise every unrelated
 // membership change would readmit all ejected nodes and restart their

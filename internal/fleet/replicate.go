@@ -168,7 +168,7 @@ func (r *replicator) deliver(node string, key uint64, payload []byte) {
 	cancel()
 	if err == nil {
 		r.sent.Inc()
-		f.reportSuccess(n)
+		f.reportServed(n)
 		return
 	}
 	r.errors.Inc()

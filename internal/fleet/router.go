@@ -325,7 +325,7 @@ func (rt *Router) forward(r *http.Request, n *Node, path, id string, body []byte
 		f.reportFailure(n, "forward", err)
 		return nil, fmt.Errorf("node %s: %w", n.Name, err)
 	}
-	f.reportSuccess(n)
+	f.reportServed(n)
 	return resp, nil
 }
 

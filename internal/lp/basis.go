@@ -26,22 +26,22 @@ type basisRep interface {
 	// verifying it against the current columns. False means the caller
 	// must refactorize.
 	adoptWarm(t *revTableau, warm *Basis) bool
-	// ftranCol computes w = B⁻¹ a for a sparse column a.
-	ftranCol(col *sparseCol, w []float64)
-	// ftranVec computes out = B⁻¹ in for a dense vector (in is not
-	// modified; in and out must not alias).
-	ftranVec(in, out []float64)
-	// btran computes y = cᵀ B⁻¹ for a position-space vector c.
-	btran(cpos, y []float64)
-	// btranUnit returns row r of B⁻¹ (ρ = e_rᵀ B⁻¹), either as a view
-	// into internal state or computed into rho.
-	btranUnit(r int, rho []float64) []float64
-	// update folds the pivot "column with FTRAN image w enters at
-	// position r" into the representation. ok=false requests a
-	// refactorization instead (reason is one of eta_limit, fill_in,
-	// instability); the caller has already updated t.basis, so
-	// refactorize sees the post-pivot basis.
-	update(t *revTableau, r int, w []float64) (ok bool, reason string)
+	// ftran computes B⁻¹a in place over a nonzero index list: w holds
+	// a in row space with its nonzeros listed in nz (w is zero
+	// elsewhere) and on return holds B⁻¹a in position space; the
+	// returned list, in nz's backing array, covers every nonzero in
+	// ascending order. A dense right-hand side is the full list.
+	ftran(w []float64, nz []int32) []int32
+	// btran computes cᵀB⁻¹ in place over a nonzero index list: c in
+	// position space on entry, row space on return, under the same list
+	// contract as ftran.
+	btran(c []float64, nz []int32) []int32
+	// update folds the pivot "column with FTRAN image w (nonzeros
+	// listed by nz) enters at position r" into the representation.
+	// ok=false requests a refactorization instead (reason is one of
+	// eta_limit, fill_in, instability); the caller has already updated
+	// t.basis, so refactorize sees the post-pivot basis.
+	update(t *revTableau, r int, w []float64, nz []int32) (ok bool, reason string)
 	// exportBasis moves the representation into bs for warm-start
 	// carry; the representation must not be used afterwards.
 	exportBasis(bs *Basis)
@@ -56,6 +56,9 @@ type denseBasis struct {
 	binv   []float64 // m×m row-major; detached on exportBasis
 	gj     []float64 // Gauss-Jordan arena, m×2m, pooled
 	rowIdx []int32   // pivot-row nonzero positions, pooled
+	// Right-hand side nonzeros gathered out of a solve's vector.
+	rhsIdx []int32
+	rhsVal []float64
 }
 
 func (d *denseBasis) init(m int) {
@@ -154,56 +157,54 @@ func (d *denseBasis) adoptWarm(t *revTableau, warm *Basis) bool {
 	return t.verifyFactor(d)
 }
 
-func (d *denseBasis) ftranCol(col *sparseCol, w []float64) {
-	m := d.m
-	for i := range w {
-		w[i] = 0
-	}
-	for k, ri := range col.idx {
-		v := col.val[k]
-		if v == 0 {
-			continue
-		}
-		c := int(ri)
-		for i := 0; i < m; i++ {
-			w[i] += d.binv[i*m+c] * v
+// gather moves the listed nonzeros of v into the rhs scratch, leaving
+// v all zero.
+func (d *denseBasis) gather(v []float64, nz []int32) ([]int32, []float64) {
+	idx, val := d.rhsIdx[:0], d.rhsVal[:0]
+	for _, i := range nz {
+		if x := v[i]; x != 0 {
+			idx = append(idx, i)
+			val = append(val, x)
+			v[i] = 0
 		}
 	}
+	d.rhsIdx, d.rhsVal = idx, val
+	return idx, val
 }
 
-func (d *denseBasis) ftranVec(in, out []float64) {
-	m := d.m
+// fullList returns 0..m-1 in nz's backing array: the dense
+// representation reports every position as nonzero.
+func fullList(nz []int32, m int) []int32 {
+	nz = nz[:0]
 	for i := 0; i < m; i++ {
-		v := 0.0
-		row := d.binv[i*m : (i+1)*m]
-		for k, x := range in {
-			v += row[k] * x
-		}
-		out[i] = v
+		nz = append(nz, int32(i))
 	}
+	return nz
 }
 
-func (d *denseBasis) btran(cpos, y []float64) {
+func (d *denseBasis) ftran(w []float64, nz []int32) []int32 {
 	m := d.m
-	for i := range y {
-		y[i] = 0
-	}
-	for k, cb := range cpos {
-		if cb == 0 {
-			continue
-		}
-		row := d.binv[k*m : (k+1)*m]
+	idx, val := d.gather(w, nz)
+	for k, c := range idx {
+		v := val[k]
 		for i := 0; i < m; i++ {
-			y[i] += cb * row[i]
+			w[i] += d.binv[i*m+int(c)] * v
 		}
 	}
+	return fullList(nz, m)
 }
 
-// btranUnit returns row r of the inverse directly — the dense
-// representation's one structural advantage (the dual ratio test gets
-// it for free).
-func (d *denseBasis) btranUnit(r int, _ []float64) []float64 {
-	return d.binv[r*d.m : (r+1)*d.m]
+func (d *denseBasis) btran(c []float64, nz []int32) []int32 {
+	m := d.m
+	idx, val := d.gather(c, nz)
+	for k, p := range idx {
+		v := val[k]
+		row := d.binv[int(p)*m : (int(p)+1)*m]
+		for i := 0; i < m; i++ {
+			c[i] += v * row[i]
+		}
+	}
+	return fullList(nz, m)
 }
 
 // update applies the product-form update: binv ← E⁻¹ binv where E is
@@ -211,7 +212,7 @@ func (d *denseBasis) btranUnit(r int, _ []float64) []float64 {
 // sparse until fill-in accumulates; updating only its nonzero
 // positions makes each pivot O(touched rows * nnz(row r)) instead of
 // O(m²). The dense representation never requests a refactorization.
-func (d *denseBasis) update(_ *revTableau, r int, w []float64) (bool, string) {
+func (d *denseBasis) update(_ *revTableau, r int, w []float64, _ []int32) (bool, string) {
 	m := d.m
 	inv := 1 / w[r]
 	rrow := d.binv[r*m : (r+1)*m]
@@ -285,10 +286,10 @@ func (t *revTableau) verifyFactor(rep basisRep) bool {
 				zmax = a
 			}
 		}
-		rep.ftranVec(z, t.w)
+		t.nzs = rep.ftran(z, fullList(t.nzs, m))
 		tol := 1e-6 * (1 + zmax)
 		for i := 0; i < m; i++ {
-			if math.Abs(t.w[i]-u[i]) > tol {
+			if math.Abs(z[i]-u[i]) > tol {
 				return false
 			}
 		}

@@ -1,6 +1,9 @@
 package lp
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Tuning constants of the sparse LU representation.
 const (
@@ -57,6 +60,10 @@ type luFactor struct {
 	etaVal  []float64
 	// nnz accounting for the fill-in trigger and telemetry.
 	nnzBasis, nnzFactor int
+	// Solve index (see index): the inverse permutations and the steps
+	// whose L column / U row carries off-diagonal entries.
+	rowStep, posStep []int32
+	lsteps, usteps   []int32
 }
 
 func (f *luFactor) reset(m int) {
@@ -97,83 +104,29 @@ func (f *luFactor) cloneFrom(src *luFactor) {
 	f.etaVal = append(f.etaVal[:0], src.etaVal...)
 	f.nnzBasis = src.nnzBasis
 	f.nnzFactor = src.nnzFactor
+	f.index()
 }
 
-// ftranInPlace solves B·x = w in place (w in row space on entry, basis
-// positions on exit), replaying L forward, back-substituting through U
-// in elimination-step space (z is the step-space scratch), scattering
-// to basis positions, then applying the eta file oldest to newest.
-func (f *luFactor) ftranInPlace(w, z []float64) {
+// index rebuilds the solve index after the factor changed (U
+// positions must already be elimination steps): rowStep/posStep invert
+// prow/pcol, and lsteps/usteps list in ascending order the steps with
+// a nonempty L column / U row. Every other step is a pure diagonal
+// scaling in that pass, which the list-based solves touch only when
+// its entry is nonzero.
+func (f *luFactor) index() {
 	m := f.m
+	f.rowStep = i32s(&f.rowStep, m)
+	f.posStep = i32s(&f.posStep, m)
+	f.lsteps, f.usteps = f.lsteps[:0], f.usteps[:0]
 	for k := 0; k < m; k++ {
-		v := w[f.prow[k]]
-		if v != 0 {
-			for e := f.lptr[k]; e < f.lptr[k+1]; e++ {
-				w[f.lrow[e]] -= f.lval[e] * v
-			}
+		f.rowStep[f.prow[k]] = int32(k)
+		f.posStep[f.pcol[k]] = int32(k)
+		if f.lptr[k+1] > f.lptr[k] {
+			f.lsteps = append(f.lsteps, int32(k))
 		}
-	}
-	for k := m - 1; k >= 0; k-- {
-		v := w[f.prow[k]]
-		for e := f.uptr[k]; e < f.uptr[k+1]; e++ {
-			v -= f.uval[e] * z[f.upos[e]]
+		if f.uptr[k+1] > f.uptr[k] {
+			f.usteps = append(f.usteps, int32(k))
 		}
-		z[k] = v / f.udiag[k]
-	}
-	for k := 0; k < m; k++ {
-		w[f.pcol[k]] = z[k]
-	}
-	// Eta q: E = I + (w-e_r)e_rᵀ, so E⁻¹x sets x_r /= w_r and
-	// subtracts the eta column scaled by the new x_r.
-	for q := 0; q < len(f.etaR); q++ {
-		r := f.etaR[q]
-		vr := w[r]
-		if vr == 0 {
-			continue
-		}
-		vr /= f.etaDiag[q]
-		for e := f.etaPtr[q]; e < f.etaPtr[q+1]; e++ {
-			w[f.etaIdx[e]] -= f.etaVal[e] * vr
-		}
-		w[r] = vr
-	}
-}
-
-// btranInPlace solves yᵀ·B = cᵀ in place (c in basis-position space on
-// entry, row space on exit): the exact transpose of ftranInPlace —
-// eta file newest to oldest, Uᵀ forward in step space, permute steps
-// to rows, then Lᵀ in reverse step order.
-func (f *luFactor) btranInPlace(c, z []float64) {
-	m := f.m
-	for q := len(f.etaR) - 1; q >= 0; q-- {
-		r := f.etaR[q]
-		d := c[r]
-		for e := f.etaPtr[q]; e < f.etaPtr[q+1]; e++ {
-			d -= f.etaVal[e] * c[f.etaIdx[e]]
-		}
-		c[r] = d / f.etaDiag[q]
-	}
-	for k := 0; k < m; k++ {
-		z[k] = c[f.pcol[k]]
-	}
-	for k := 0; k < m; k++ {
-		v := z[k] / f.udiag[k]
-		z[k] = v
-		if v != 0 {
-			for e := f.uptr[k]; e < f.uptr[k+1]; e++ {
-				z[f.upos[e]] -= f.uval[e] * v
-			}
-		}
-	}
-	for k := 0; k < m; k++ {
-		c[f.prow[k]] = z[k]
-	}
-	for k := m - 1; k >= 0; k-- {
-		acc := c[f.prow[k]]
-		for e := f.lptr[k]; e < f.lptr[k+1]; e++ {
-			acc -= f.lval[e] * c[f.lrow[e]]
-		}
-		c[f.prow[k]] = acc
 	}
 }
 
@@ -181,9 +134,13 @@ func (f *luFactor) btranInPlace(c, z []float64) {
 // escapes into the Basis on export); every elimination scratch array
 // lives in the struct and is pooled with the workspace.
 type luBasis struct {
-	m    int
-	f    *luFactor
-	zpos []float64 // step/position-space solve scratch
+	m int
+	f *luFactor
+	// Solve scratch: zpos (step space) and mark are all-zero between
+	// solves; snz collects the nonzero steps of one solve.
+	zpos []float64
+	mark []bool
+	snz  []int32
 
 	// Factorization scratch (singleton peel + dense Markowitz bump).
 	rn, cn             []int32
@@ -192,7 +149,6 @@ type luBasis struct {
 	cur                []int32
 	colQ, rowQ         []int32
 	rowAlive, colAlive []bool
-	stepOf             []int32
 	bumpR, bumpC       []int32
 	bumpD              []float64
 	bRowAlive          []bool
@@ -221,7 +177,20 @@ func (b *luBasis) setIdentity(m int) {
 	}
 	f.nnzBasis = m
 	f.nnzFactor = m
+	f.index()
+	b.scratch(m)
+}
+
+// scratch sizes the solve scratch for an m-row basis and restores its
+// all-zero invariant.
+func (b *luBasis) scratch(m int) {
 	b.zpos = f64s(&b.zpos, m)
+	zeroF(b.zpos)
+	b.mark = bools(&b.mark, m)
+	clear(b.mark)
+	if cap(b.snz) < m {
+		b.snz = make([]int32, 0, m)
+	}
 }
 
 // refactorize builds P·B·Q = L·U from the tableau's current basis
@@ -240,7 +209,7 @@ func (b *luBasis) refactorize(t *revTableau) bool {
 	b.m = m
 	f := b.factor()
 	f.reset(m)
-	b.zpos = f64s(&b.zpos, m)
+	b.scratch(m)
 	if m == 0 {
 		t.cLUFact.Inc()
 		return true
@@ -392,13 +361,14 @@ func (b *luBasis) refactorize(t *revTableau) bool {
 	}
 	// U entries were recorded by basis position (a column's elimination
 	// step is unknown while it is still active); remap to steps.
-	stepOf := i32s(&b.stepOf, m)
-	for s := 0; s < m; s++ {
-		stepOf[f.pcol[s]] = int32(s)
+	f.posStep = i32s(&f.posStep, m)
+	for k := 0; k < m; k++ {
+		f.posStep[f.pcol[k]] = int32(k)
 	}
 	for e := range f.upos {
-		f.upos[e] = stepOf[f.upos[e]]
+		f.upos[e] = f.posStep[f.upos[e]]
 	}
+	f.index()
 	f.nnzFactor = m + len(f.lval) + len(f.uval)
 	t.cLUFact.Inc()
 	t.gFill.Set(float64(f.nnzFactor) / float64(f.nnzBasis))
@@ -635,42 +605,237 @@ func (b *luBasis) adoptWarm(t *revTableau, warm *Basis) bool {
 	}
 	b.m = t.m
 	b.factor().cloneFrom(warm.lu)
-	b.zpos = f64s(&b.zpos, t.m)
+	b.scratch(t.m)
 	return t.verifyFactor(b)
 }
 
-func (b *luBasis) ftranCol(col *sparseCol, w []float64) {
-	zeroF(w)
-	for k, ri := range col.idx {
-		w[ri] += col.val[k]
+// ftran solves B·x = a in place over a nonzero index list. On entry w
+// holds a in row space and nz lists its nonzero rows (w is zero
+// elsewhere; duplicates are tolerated); on exit w holds x in basis-
+// position space and the returned list, in nz's backing array, holds
+// x's nonzero positions in ascending order. A dense right-hand side is
+// the full list. The passes and their arithmetic are those of the
+// textbook solve — L forward, U back-substitution in elimination-step
+// space, scatter to positions, eta file oldest to newest — but the
+// triangular passes visit only the steps of lsteps/usteps (see index)
+// plus the diagonal-only steps the solve reaches, and the scatter and
+// the eta pass only the listed nonzeros.
+func (b *luBasis) ftran(w []float64, nz []int32) []int32 {
+	f, mark, z := b.f, b.mark, b.zpos
+	nz = markList(nz, mark)
+	for _, k := range f.lsteps {
+		v := w[f.prow[k]]
+		if v == 0 {
+			continue
+		}
+		for e := f.lptr[k]; e < f.lptr[k+1]; e++ {
+			i := f.lrow[e]
+			w[i] -= f.lval[e] * v
+			if !mark[i] {
+				mark[i] = true
+				nz = append(nz, i)
+			}
+		}
 	}
-	b.f.ftranInPlace(w, b.zpos)
+	// Into step space. A step without a U row is final once scaled by
+	// its diagonal; the steps with one are back-substituted in
+	// descending order. snz collects (and mark flags) the nonzero
+	// steps.
+	snz := b.snz[:0]
+	for _, i := range nz {
+		mark[i] = false
+		if v := w[i]; v != 0 {
+			w[i] = 0
+			k := f.rowStep[i]
+			if f.uptr[k] == f.uptr[k+1] {
+				v /= f.udiag[k]
+			}
+			z[k] = v
+			snz = append(snz, k)
+		}
+	}
+	for _, k := range snz {
+		mark[k] = true
+	}
+	for q := len(f.usteps) - 1; q >= 0; q-- {
+		k := f.usteps[q]
+		v := z[k]
+		for e := f.uptr[k]; e < f.uptr[k+1]; e++ {
+			v -= f.uval[e] * z[f.upos[e]]
+		}
+		z[k] = v / f.udiag[k]
+		if v != 0 && !mark[k] {
+			mark[k] = true
+			snz = append(snz, k)
+		}
+	}
+	for _, k := range snz {
+		mark[k] = false
+	}
+	nz = nz[:0]
+	for _, k := range snz {
+		p := f.pcol[k]
+		w[p] = z[k]
+		z[k] = 0
+		mark[p] = true
+		nz = append(nz, p)
+	}
+	b.snz = snz
+	// Eta q: E = I + (w-e_r)e_rᵀ, so E⁻¹x sets x_r /= w_r and
+	// subtracts the eta column scaled by the new x_r.
+	for q := range f.etaR {
+		r := f.etaR[q]
+		vr := w[r]
+		if vr == 0 {
+			continue
+		}
+		vr /= f.etaDiag[q]
+		for e := f.etaPtr[q]; e < f.etaPtr[q+1]; e++ {
+			i := f.etaIdx[e]
+			w[i] -= f.etaVal[e] * vr
+			if !mark[i] {
+				mark[i] = true
+				nz = append(nz, i)
+			}
+		}
+		w[r] = vr
+	}
+	return finishList(w, nz, mark)
 }
 
-func (b *luBasis) ftranVec(in, out []float64) {
-	copy(out, in)
-	b.f.ftranInPlace(out, b.zpos)
+// btran solves yᵀ·B = cᵀ in place over a nonzero index list: c in
+// basis-position space on entry (nonzeros listed in nz), y in row
+// space on exit with its sorted nonzero rows returned. It is the exact
+// transpose of ftran — eta file newest to oldest, Uᵀ forward in step
+// space over usteps, permute steps to rows, then Lᵀ in reverse step
+// order over lsteps.
+func (b *luBasis) btran(c []float64, nz []int32) []int32 {
+	f, mark, z := b.f, b.mark, b.zpos
+	nz = markList(nz, mark)
+	for q := len(f.etaR) - 1; q >= 0; q-- {
+		r := f.etaR[q]
+		d := c[r]
+		for e := f.etaPtr[q]; e < f.etaPtr[q+1]; e++ {
+			d -= f.etaVal[e] * c[f.etaIdx[e]]
+		}
+		c[r] = d / f.etaDiag[q]
+		if d != 0 && !mark[r] {
+			mark[r] = true
+			nz = append(nz, r)
+		}
+	}
+	// Into step space, then Uᵀ forward: in ascending step order each
+	// nonzero step with a U row is finalized and pushed into the later
+	// steps of that row. snz collects (and mark flags) the steps
+	// reached; the rest are divided last.
+	snz := b.snz[:0]
+	for _, p := range nz {
+		mark[p] = false
+		if v := c[p]; v != 0 {
+			c[p] = 0
+			k := f.posStep[p]
+			z[k] = v
+			snz = append(snz, k)
+		}
+	}
+	for _, k := range snz {
+		mark[k] = true
+	}
+	for _, k := range f.usteps {
+		v := z[k]
+		if v == 0 {
+			continue
+		}
+		v /= f.udiag[k]
+		z[k] = v
+		for e := f.uptr[k]; e < f.uptr[k+1]; e++ {
+			j := f.upos[e]
+			z[j] -= f.uval[e] * v
+			if !mark[j] {
+				mark[j] = true
+				snz = append(snz, j)
+			}
+		}
+	}
+	for _, k := range snz {
+		mark[k] = false
+	}
+	nz = nz[:0]
+	for _, k := range snz {
+		v := z[k]
+		if f.uptr[k] == f.uptr[k+1] {
+			v /= f.udiag[k]
+		}
+		z[k] = 0
+		i := f.prow[k]
+		c[i] = v
+		mark[i] = true
+		nz = append(nz, i)
+	}
+	b.snz = snz
+	for q := len(f.lsteps) - 1; q >= 0; q-- {
+		k := f.lsteps[q]
+		i := f.prow[k]
+		acc := c[i]
+		for e := f.lptr[k]; e < f.lptr[k+1]; e++ {
+			acc -= f.lval[e] * c[f.lrow[e]]
+		}
+		c[i] = acc
+		if acc != 0 && !mark[i] {
+			mark[i] = true
+			nz = append(nz, i)
+		}
+	}
+	return finishList(c, nz, mark)
 }
 
-func (b *luBasis) btran(cpos, y []float64) {
-	copy(y, cpos)
-	b.f.btranInPlace(y, b.zpos)
+// markList marks the entries of nz and drops duplicates in place.
+func markList(nz []int32, mark []bool) []int32 {
+	out := nz[:0]
+	for _, i := range nz {
+		if !mark[i] {
+			mark[i] = true
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
-func (b *luBasis) btranUnit(r int, rho []float64) []float64 {
-	zeroF(rho)
-	rho[r] = 1
-	b.f.btranInPlace(rho, b.zpos)
-	return rho
+// finishList clears the marks of the listed entries and returns the
+// entries where v is nonzero in ascending order (the order the dense
+// loops visited them in, so tie-breaks downstream are unchanged). A
+// long list is rebuilt by one scan of the marks instead of a sort.
+func finishList(v []float64, nz []int32, mark []bool) []int32 {
+	if 16*len(nz) >= len(mark) {
+		nz = nz[:0]
+		for i, on := range mark {
+			if on {
+				mark[i] = false
+				if v[i] != 0 {
+					nz = append(nz, int32(i))
+				}
+			}
+		}
+		return nz
+	}
+	out := nz[:0]
+	for _, i := range nz {
+		mark[i] = false
+		if v[i] != 0 {
+			out = append(out, i)
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
 // update appends a column eta for the pivot (entering column's FTRAN
-// image w at position r) unless a refactorization trigger fires:
-// unstable pivot, eta-file length cap, or eta fill-in past the
+// image w at position r, its nonzeros listed in ascending order by
+// nz) unless a refactorization trigger fires: unstable pivot, eta-file length cap, or eta fill-in past the
 // luFillFactor bound. The caller refactorizes on false — the basis
 // bookkeeping has already happened, so the fresh factor absorbs the
 // pivot exactly.
-func (b *luBasis) update(t *revTableau, r int, w []float64) (bool, string) {
+func (b *luBasis) update(t *revTableau, r int, w []float64, nz []int32) (bool, string) {
 	f := b.f
 	wr := w[r]
 	if math.Abs(wr) < luEtaStabTol {
@@ -679,20 +844,20 @@ func (b *luBasis) update(t *revTableau, r int, w []float64) (bool, string) {
 	if len(f.etaR) >= luMaxEtas {
 		return false, "eta_limit"
 	}
-	nz := 0
-	for i, v := range w {
-		if v != 0 && i != r {
-			nz++
+	cnt := 0
+	for _, i := range nz {
+		if w[i] != 0 && int(i) != r {
+			cnt++
 		}
 	}
-	if len(f.etaIdx)+nz > luFillFactor*(f.nnzFactor+f.m) {
+	if len(f.etaIdx)+cnt > luFillFactor*(f.nnzFactor+f.m) {
 		return false, "fill_in"
 	}
 	f.etaR = append(f.etaR, int32(r))
 	f.etaDiag = append(f.etaDiag, wr)
-	for i, v := range w {
-		if v != 0 && i != r {
-			f.etaIdx = append(f.etaIdx, int32(i))
+	for _, i := range nz {
+		if v := w[i]; v != 0 && int(i) != r {
+			f.etaIdx = append(f.etaIdx, i)
 			f.etaVal = append(f.etaVal, v)
 		}
 	}

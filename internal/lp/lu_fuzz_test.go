@@ -86,65 +86,106 @@ func condProxy(tab *revTableau, dense *denseBasis) float64 {
 	return binvMax * aMax * float64(tab.m)
 }
 
-// compareReps cross-checks every public basisRep operation of the LU
+// listSolve runs one list-based solve (ftran or btran) of rep on the
+// sparse right-hand side rhs and checks the list contract: the
+// returned positions ascend strictly and cover every nonzero of the
+// result. It returns the result as a fresh dense vector.
+func listSolve(t *testing.T, name string, rep basisRep, ftran bool, rhs []float64) []float64 {
+	t.Helper()
+	m := len(rhs)
+	v := make([]float64, m)
+	var nz []int32
+	for i, x := range rhs {
+		if x != 0 {
+			v[i] = x
+			nz = append(nz, int32(i))
+		}
+	}
+	nz = append(make([]int32, 0, m), nz...)
+	if ftran {
+		nz = rep.ftran(v, nz)
+	} else {
+		nz = rep.btran(v, nz)
+	}
+	listed := make([]bool, m)
+	for k, i := range nz {
+		if k > 0 && nz[k-1] >= i {
+			t.Fatalf("%s: list %v not strictly ascending", name, nz)
+		}
+		listed[i] = true
+	}
+	for i, x := range v {
+		if x != 0 && !listed[i] {
+			t.Fatalf("%s: nonzero %v at %d missing from list %v", name, x, i, nz)
+		}
+	}
+	return v
+}
+
+// compareReps cross-checks the list-based solves of the LU
 // factorization against the dense inverse: FTRAN of each basis column
-// (which must be the corresponding unit vector), BTRAN unit rows, and
-// a dense FTRAN/BTRAN probe vector.
-func compareReps(t *testing.T, tab *revTableau, lu *luBasis, dense *denseBasis, tol float64) {
+// (which must be the corresponding unit vector), BTRAN of each unit
+// row, and FTRAN/BTRAN of the given sparse probes plus one dense probe.
+// Results must agree to within tol and every nonzero must be listed.
+func compareReps(t *testing.T, tab *revTableau, lu *luBasis, dense *denseBasis, tol float64, probes [][]float64) {
 	t.Helper()
 	m := tab.m
-	luOut := make([]float64, m)
-	dOut := make([]float64, m)
+	near := func(name string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Abs(got[i]-want[i]) > tol {
+				t.Fatalf("%s[%d]: lu %v != dense %v (tol %g)", name, i, got[i], want[i], tol)
+			}
+		}
+	}
 	for j := 0; j < m; j++ {
-		lu.ftranCol(&tab.cols[j], luOut)
-		for i := 0; i < m; i++ {
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if math.Abs(luOut[i]-want) > tol {
-				t.Fatalf("ftranCol(basis col %d)[%d] = %v, want %v (tol %g)",
-					j, i, luOut[i], want, tol)
-			}
+		col := make([]float64, m)
+		for k, ri := range tab.cols[j].idx {
+			col[ri] += tab.cols[j].val[k]
 		}
+		unit := make([]float64, m)
+		unit[j] = 1
+		near("ftran(basis col)", listSolve(t, "lu ftran", lu, true, col), unit)
+		near("btran(unit)", listSolve(t, "lu btran", lu, false, unit),
+			listSolve(t, "dense btran", dense, false, unit))
 	}
-	rho := make([]float64, m)
-	for r := 0; r < m; r++ {
-		luRow := lu.btranUnit(r, rho)
-		dRow := dense.btranUnit(r, nil)
-		for i := 0; i < m; i++ {
-			if math.Abs(luRow[i]-dRow[i]) > tol {
-				t.Fatalf("btranUnit(%d)[%d]: lu %v != dense %v (tol %g)",
-					r, i, luRow[i], dRow[i], tol)
-			}
-		}
+	full := make([]float64, m)
+	for i := range full {
+		full[i] = float64((i%5)-2) + 0.25
 	}
-	probe := make([]float64, m)
-	for i := range probe {
-		probe[i] = float64((i%5)-2) + 0.25
-	}
-	lu.ftranVec(probe, luOut)
-	dense.ftranVec(probe, dOut)
-	for i := 0; i < m; i++ {
-		if math.Abs(luOut[i]-dOut[i]) > tol {
-			t.Fatalf("ftranVec[%d]: lu %v != dense %v (tol %g)", i, luOut[i], dOut[i], tol)
-		}
-	}
-	lu.btran(probe, luOut)
-	dense.btran(probe, dOut)
-	for i := 0; i < m; i++ {
-		if math.Abs(luOut[i]-dOut[i]) > tol {
-			t.Fatalf("btran[%d]: lu %v != dense %v (tol %g)", i, luOut[i], dOut[i], tol)
-		}
+	for _, p := range append(probes, full) {
+		near("ftran(probe)", listSolve(t, "lu ftran", lu, true, p),
+			listSolve(t, "dense ftran", dense, true, p))
+		near("btran(probe)", listSolve(t, "lu btran", lu, false, p),
+			listSolve(t, "dense btran", dense, false, p))
 	}
 }
 
+// decodeProbes derives a few sparse right-hand sides of length m from
+// fuzz bytes: each byte either skips a position or sets a small value.
+func decodeProbes(data []byte, m int) [][]float64 {
+	var out [][]float64
+	for len(data) > 0 && len(out) < 3 {
+		p := make([]float64, m)
+		for i := 0; i < m && len(data) > 0; i++ {
+			if b := data[0]; b%4 == 0 {
+				p[i] = float64(b%13) - 6
+			}
+			data = data[1:]
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
 // FuzzLUFactorize round-trips random sparse bases through the sparse
-// LU representation — factorize, FTRAN, BTRAN, and one Forrest–Tomlin
-// eta update — against the dense explicit-inverse reference. The two
+// LU representation — factorize, list-based FTRAN and BTRAN on sparse
+// and dense right-hand sides, and a sequence of Forrest–Tomlin eta
+// updates — against the dense explicit-inverse reference. The two
 // representations must accept the same bases (away from the singular
-// floor, where their rejection thresholds legitimately differ) and
-// produce the same solves to a conditioning-scaled tolerance.
+// floor, where their rejection thresholds legitimately differ),
+// produce the same solves to a conditioning-scaled tolerance, and
+// list every nonzero of each result.
 func FuzzLUFactorize(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 5})
@@ -189,50 +230,62 @@ func FuzzLUFactorize(f *testing.F) {
 			return // too ill-conditioned for a meaningful float comparison
 		}
 		tol := 1e-9*cond + 1e-8
-		compareReps(t, tab, lu, dense, tol)
+		probes := decodeProbes(data, tab.m)
+		compareReps(t, tab, lu, dense, tol, probes)
 
-		// Forrest–Tomlin update: pivot in a = col_r + col_s, whose FTRAN
-		// image is exactly e_r + e_s — a stable pivot at row r. The eta'd
-		// factor must then agree with a dense refactorization of the
-		// updated basis.
+		// Forrest–Tomlin updates: pivot in a = col_r + col_s, whose FTRAN
+		// image is exactly e_r + e_s — a stable pivot at row r. After
+		// each eta the factor must agree with a dense refactorization of
+		// the updated basis; a sequence of up to three etas is replayed.
 		m := tab.m
 		if m < 2 {
 			return
 		}
-		r := int(data[len(data)-1]) % m
-		s := (r + 1) % m
-		merged := make([]float64, m)
-		for k, ri := range tab.cols[r].idx {
-			merged[ri] += tab.cols[r].val[k]
-		}
-		for k, ri := range tab.cols[s].idx {
-			merged[ri] += tab.cols[s].val[k]
-		}
-		var a sparseCol
-		for i, v := range merged {
-			if v != 0 {
-				a.idx = append(a.idx, int32(i))
-				a.val = append(a.val, v)
+		cols = append([]sparseCol(nil), cols...)
+		tab.cols = cols
+		for step := 0; step < 3 && step < len(data)-1; step++ {
+			r := int(data[len(data)-1-step]) % m
+			s := (r + 1 + int(data[step])%(m-1)) % m
+			merged := make([]float64, m)
+			for k, ri := range cols[r].idx {
+				merged[ri] += cols[r].val[k]
 			}
+			for k, ri := range cols[s].idx {
+				merged[ri] += cols[s].val[k]
+			}
+			var a sparseCol
+			for i, v := range merged {
+				if v != 0 {
+					a.idx = append(a.idx, int32(i))
+					a.val = append(a.val, v)
+				}
+			}
+			if len(a.idx) == 0 {
+				return
+			}
+			w := make([]float64, m)
+			nz := make([]int32, 0, m)
+			for k, ri := range a.idx {
+				w[ri] = a.val[k]
+				nz = append(nz, ri)
+			}
+			nz = lu.ftran(w, nz)
+			if math.Abs(w[r]-1) > tol || math.Abs(w[s]-1) > tol {
+				t.Fatalf("FTRAN of col_%d+col_%d = %v, want e_%d+e_%d (tol %g)", r, s, w, r, s, tol)
+			}
+			if ok, _ := lu.update(tab, r, w, nz); !ok {
+				return // a refactorization trigger fired; the solver would refactorize
+			}
+			cols[r] = a
+			if !dense.refactorize(tab) {
+				return
+			}
+			cond = condProxy(tab, dense)
+			if cond > 1e8 {
+				return
+			}
+			tol = 1e-9*cond + 1e-8
+			compareReps(t, tab, lu, dense, tol, probes)
 		}
-		w := make([]float64, m)
-		lu.ftranCol(&a, w)
-		if math.Abs(w[r]-1) > tol || math.Abs(w[s]-1) > tol {
-			t.Fatalf("FTRAN of col_%d+col_%d = %v, want e_%d+e_%d (tol %g)", r, s, w, r, s, tol)
-		}
-		if ok, _ := lu.update(tab, r, w); !ok {
-			return // fill-in trigger fired; the solver would refactorize
-		}
-		cols2 := append([]sparseCol(nil), cols...)
-		cols2[r] = a
-		tab.cols = cols2
-		if !dense.refactorize(tab) {
-			return
-		}
-		cond = condProxy(tab, dense)
-		if cond > 1e8 {
-			return
-		}
-		compareReps(t, tab, lu, dense, 1e-9*cond+1e-8)
 	})
 }

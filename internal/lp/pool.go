@@ -13,13 +13,15 @@ import "sync"
 type workspace struct {
 	t revTableau
 
-	// Tableau vectors (sized m or n, see buildSparse).
-	b, ub, xB, rowSign        []float64
-	y, w, rho, d, alpha, rvec []float64
-	cpos, cost1, cost2        []float64
-	probeU, probeZ            []float64
-	basis, artOf              []int
-	inBasis, atUpper          []bool
+	// Tableau vectors (sized m or n, see buildSparse and iterate).
+	b, ub, xB, rowSign   []float64
+	y, w, rho, d, alpha  []float64
+	cost1, cost2         []float64
+	probeU, probeZ       []float64
+	wnz, rhoNZ, nzs, anz []int32
+	basis, artOf         []int
+	inBasis, atUpper     []bool
+	amark                []bool
 
 	// Standard-form column backing: one CSR arena for the structural
 	// columns plus a singleton arena for aux/artificial columns.
@@ -27,6 +29,9 @@ type workspace struct {
 	colIdx, auxIdx []int32
 	colVal, auxVal []float64
 	cnt, off       []int32
+	// Row-wise copy of the standard-form matrix (see buildRows).
+	rptr, rcol []int32
+	rval       []float64
 
 	// Basis representations. The structs persist across solves so
 	// their internal scratch (dense Gauss-Jordan arena, LU elimination

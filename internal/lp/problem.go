@@ -17,6 +17,7 @@ package lp
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 )
 
@@ -85,7 +86,9 @@ type Problem struct {
 func NewProblem() *Problem { return &Problem{} }
 
 // AddVar adds a nonnegative variable with the given objective
-// coefficient and returns its index.
+// coefficient and returns its index. The name is used only for
+// rendering; an empty name renders as x<index> (see Name), so hot
+// builders need not format one per variable.
 func (p *Problem) AddVar(name string, objCoeff float64) int {
 	p.obj = append(p.obj, objCoeff)
 	p.names = append(p.names, name)
@@ -172,8 +175,14 @@ func (p *Problem) SetRHS(i int, rhs float64) {
 	p.rows[i].rhs = rhs
 }
 
-// Name returns the name of variable v.
-func (p *Problem) Name(v int) string { return p.names[v] }
+// Name returns the name of variable v, or x<v> when it was added
+// without one.
+func (p *Problem) Name(v int) string {
+	if p.names[v] == "" {
+		return "x" + strconv.Itoa(v)
+	}
+	return p.names[v]
+}
 
 // Obj returns the objective coefficient of variable v.
 func (p *Problem) Obj(v int) float64 { return p.obj[v] }
@@ -200,7 +209,7 @@ func (p *Problem) String() string {
 	b.WriteString("min")
 	for v, c := range p.obj {
 		if c != 0 {
-			fmt.Fprintf(&b, " %+g*%s", c, p.names[v])
+			fmt.Fprintf(&b, " %+g*%s", c, p.Name(v))
 		}
 	}
 	b.WriteString("\n")
@@ -210,13 +219,13 @@ func (p *Problem) String() string {
 			if i > 0 {
 				b.WriteString(" ")
 			}
-			fmt.Fprintf(&b, "%+g*%s", t.Coeff, p.names[t.Var])
+			fmt.Fprintf(&b, "%+g*%s", t.Coeff, p.Name(t.Var))
 		}
 		fmt.Fprintf(&b, " %s %g\n", r.rel, r.rhs)
 	}
 	for v, u := range p.upper {
 		if !math.IsInf(u, 1) {
-			fmt.Fprintf(&b, "  %s <= %g\n", p.names[v], u)
+			fmt.Fprintf(&b, "  %s <= %g\n", p.Name(v), u)
 		}
 	}
 	return b.String()

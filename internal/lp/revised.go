@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math"
+	"slices"
 
 	"calib/internal/obs"
 )
@@ -306,13 +307,28 @@ type revTableau struct {
 	// singular; the pivot loops then bail with IterLimit and the
 	// divergence guard re-runs on the dense representation.
 	repFail bool
-	// Pooled solve vectors: y/w for pricing and FTRAN, rho for the
-	// dual pivot row, cpos for BTRAN inputs, rvec for xB refreshes.
-	y, w, rho, cpos, rvec []float64
+	// Row-wise copy of the standard-form matrix (all n columns, each
+	// row's entries in column order), for forming pivot rows ρA from
+	// the rows where ρ is nonzero.
+	rptr, rcol []int32
+	rval       []float64
+	// Pooled solve vectors. w (FTRAN image of the entering column) and
+	// rho (a row of B⁻¹) are zero outside their nonzero lists wnz and
+	// rhoNZ; y holds the duals; alpha accumulates a pivot row, its
+	// nonzeros marked in amark and listed in anz; nzs is the index list
+	// of the dense-right-hand-side solves.
+	y, w, rho  []float64
+	wnz, rhoNZ []int32
+	nzs, anz   []int32
+	alpha      []float64
+	amark      []bool
 	// met is consulted for the rare labeled series (refactor reasons);
 	// hot-path instruments are bound once below.
 	met         *obs.Registry
 	cBoundFlips *obs.Counter
+	cRefactor   *obs.Counter // fresh pricings after a refactorization
+	cVerdict    *obs.Counter // fresh pricings before a terminal verdict
+	cStale      *obs.Counter // fresh pricings that overturned optimality
 	cLUFact     *obs.Counter
 	gEtaMax     *obs.Gauge
 	gFill       *obs.Gauge
@@ -375,8 +391,11 @@ func buildSparse(p *Problem, met *obs.Registry, dense bool) *revTableau {
 	t.y = f64s(&ws.y, m)
 	t.w = f64s(&ws.w, m)
 	t.rho = f64s(&ws.rho, m)
-	t.cpos = f64s(&ws.cpos, m)
-	t.rvec = f64s(&ws.rvec, m)
+	zeroF(t.w)
+	zeroF(t.rho)
+	t.wnz = i32s(&ws.wnz, m)[:0]
+	t.rhoNZ = i32s(&ws.rhoNZ, m)[:0]
+	t.nzs = i32s(&ws.nzs, m)[:0]
 	if cap(ws.cols) < n {
 		ws.cols = make([]sparseCol, n)
 	}
@@ -480,6 +499,7 @@ func buildSparse(p *Problem, met *obs.Registry, dense bool) *revTableau {
 	for _, b := range t.basis {
 		t.inBasis[b] = true
 	}
+	t.buildRows()
 	if dense {
 		t.rep = &ws.dense
 	} else {
@@ -490,12 +510,47 @@ func buildSparse(p *Problem, met *obs.Registry, dense bool) *revTableau {
 	t.rep.setIdentity(m)
 	copy(t.xB, t.b)
 	t.cBoundFlips = met.Counter(obs.MLPBoundFlips)
+	t.cRefactor = met.CounterWith(obs.MLPPriceRefresh, "reason", obs.RefreshRefactor)
+	t.cVerdict = met.CounterWith(obs.MLPPriceRefresh, "reason", obs.RefreshOptimality)
+	t.cStale = met.Counter(obs.MLPPriceStale)
 	if !dense {
 		t.cLUFact = met.Counter(obs.MLPLUFactorize)
 		t.gEtaMax = met.Gauge(obs.MLPLUEtaLenMax)
 		t.gFill = met.Gauge(obs.MLPLUFillRatio)
 	}
 	return t
+}
+
+// buildRows fills the row-wise copy of the standard-form matrix from
+// the columns. Filling in column order leaves each row's entries
+// sorted by column, so a pivot row can stop at the first column past
+// the priced range.
+func (t *revTableau) buildRows() {
+	ws := t.ws
+	rptr := i32s(&ws.rptr, t.m+1)
+	zeroI32(rptr)
+	for j := range t.cols {
+		for _, ri := range t.cols[j].idx {
+			rptr[ri+1]++
+		}
+	}
+	for i := 0; i < t.m; i++ {
+		rptr[i+1] += rptr[i]
+	}
+	rcol := i32s(&ws.rcol, int(rptr[t.m]))
+	rval := f64s(&ws.rval, int(rptr[t.m]))
+	cur := i32s(&ws.cnt, t.m)
+	copy(cur, rptr[:t.m])
+	for j := range t.cols {
+		c := &t.cols[j]
+		for k, ri := range c.idx {
+			p := cur[ri]
+			rcol[p] = int32(j)
+			rval[p] = c.val[k]
+			cur[ri] = p + 1
+		}
+	}
+	t.rptr, t.rcol, t.rval = rptr, rcol, rval
 }
 
 // phase2Cost returns the standard-form phase-2 cost vector.
@@ -569,7 +624,7 @@ func (t *revTableau) installBasis(warm *Basis, met *obs.Registry) (bool, string)
 // computeXB recomputes xB = B⁻¹ (b - sum of at-upper nonbasic columns
 // at their bounds), shedding incremental drift.
 func (t *revTableau) computeXB() {
-	r := t.rvec
+	r := t.xB
 	copy(r, t.b)
 	for j := 0; j < t.n; j++ {
 		if !t.atUpper[j] || t.inBasis[j] {
@@ -581,7 +636,7 @@ func (t *revTableau) computeXB() {
 			r[int(ri)] -= u * c.val[k]
 		}
 	}
-	t.rep.ftranVec(r, t.xB)
+	t.nzs = t.rep.ftran(r, fullList(t.nzs, t.m))
 	for i := 0; i < t.m; i++ {
 		if t.xB[i] < 0 && t.xB[i] > -1e-11 {
 			t.xB[i] = 0
@@ -600,44 +655,190 @@ func (t *revTableau) primalFeasible() bool {
 	return true
 }
 
-// duals computes y = cB^T B⁻¹ into y.
+// duals computes y = cB^T B⁻¹ into y (every entry is overwritten);
+// the BTRAN runs on the positions whose basic cost is nonzero.
 func (t *revTableau) duals(cost, y []float64) {
+	nz := t.nzs[:0]
 	for k, b := range t.basis {
-		t.cpos[k] = cost[b]
-	}
-	t.rep.btran(t.cpos, y)
-}
-
-// objective returns the full objective value including at-upper
-// nonbasic contributions.
-func (t *revTableau) objective(cost []float64) float64 {
-	obj := 0.0
-	for k, b := range t.basis {
-		obj += cost[b] * t.xB[k]
-	}
-	for j := 0; j < t.n; j++ {
-		if t.atUpper[j] && !t.inBasis[j] {
-			obj += cost[j] * t.ub[j]
+		y[k] = cost[b]
+		if y[k] != 0 {
+			nz = append(nz, int32(k))
 		}
 	}
-	return obj
+	t.nzs = t.rep.btran(y, nz)
 }
+
+// ftranCol sets w = B⁻¹a_j and wnz to its nonzero positions in
+// ascending order.
+func (t *revTableau) ftranCol(j int) {
+	w := t.w
+	for _, i := range t.wnz {
+		w[i] = 0
+	}
+	nz := t.wnz[:0]
+	c := &t.cols[j]
+	for k, ri := range c.idx {
+		w[ri] += c.val[k]
+		nz = append(nz, ri)
+	}
+	t.wnz = t.rep.ftran(w, nz)
+}
+
+// btranRow sets rho = e_rᵀB⁻¹ (row r of the inverse) and rhoNZ to its
+// nonzero rows in ascending order.
+func (t *revTableau) btranRow(r int) {
+	for _, i := range t.rhoNZ {
+		t.rho[i] = 0
+	}
+	t.rho[r] = 1
+	t.rhoNZ = t.rep.btran(t.rho, append(t.rhoNZ[:0], int32(r)))
+}
+
+// price recomputes the reduced costs d_j = c_j - yᵀa_j of every column
+// below hi from fresh duals; basic columns get d_j = 0.
+func (t *revTableau) price(cost, d []float64, hi int) {
+	y := t.y
+	t.duals(cost, y)
+	for j := 0; j < hi; j++ {
+		if t.inBasis[j] {
+			d[j] = 0
+			continue
+		}
+		dj := cost[j]
+		col := &t.cols[j]
+		for k, ri := range col.idx {
+			dj -= y[ri] * col.val[k]
+		}
+		d[j] = dj
+	}
+}
+
+// resetPivotRow sizes the pivot-row scratch (alpha, amark, anz) for
+// the n columns, all zero.
+func (t *revTableau) resetPivotRow() {
+	t.alpha = f64s(&t.ws.alpha, t.n)
+	zeroF(t.alpha)
+	t.amark = bools(&t.ws.amark, t.n)
+	clear(t.amark)
+	t.anz = i32s(&t.ws.anz, t.n)[:0]
+}
+
+// pivotRow forms the pivot row α_r = ρA, with ρ = e_rᵀB⁻¹ from
+// btranRow, over the nonbasic columns below hi, reading only the rows
+// where ρ is nonzero: alpha[j] holds α_rj for the columns listed in
+// anz. alpha and amark stay zero off the list, and clearPivotRow
+// restores that once the row is consumed.
+func (t *revTableau) pivotRow(hi int) {
+	alpha, mark, nz := t.alpha, t.amark, t.anz[:0]
+	for _, i := range t.rhoNZ {
+		ri := t.rho[i]
+		for e := t.rptr[i]; e < t.rptr[i+1]; e++ {
+			j := t.rcol[e]
+			if int(j) >= hi {
+				break
+			}
+			if t.inBasis[j] {
+				continue
+			}
+			if !mark[j] {
+				mark[j] = true
+				nz = append(nz, j)
+			}
+			alpha[j] += ri * t.rval[e]
+		}
+	}
+	t.anz = nz
+}
+
+// clearPivotRow zeroes the pivot row's listed entries.
+func (t *revTableau) clearPivotRow() {
+	for _, j := range t.anz {
+		t.alpha[j] = 0
+		t.amark[j] = false
+	}
+}
+
+// updatePrices folds the basis change at position r into the reduced
+// costs without re-pricing: with ρ = e_rᵀB⁻¹ of the new basis and its
+// pivot row α_r (see pivotRow), every nonbasic column below hi moves
+// by d_j -= dq·α_rj, where dq is the entering column's reduced cost.
+// The leaving column (α_r = 1/w_r) lands at -dq/w_r; the entering one,
+// now basic, is set to 0.
+func (t *revTableau) updatePrices(d []float64, r, enter int, dq float64, hi int) {
+	t.btranRow(r)
+	t.pivotRow(hi)
+	for _, j := range t.anz {
+		d[j] -= dq * t.alpha[j]
+	}
+	t.clearPivotRow()
+	d[enter] = 0
+}
+
+// chooseEntering prices the columns below hi from d: at-lower columns
+// want d < 0, at-upper columns d > 0; basic columns hold d = 0 (price
+// and updatePrices keep them there) and never qualify. Dantzig's rule
+// takes the largest violation; Bland's rule (the anti-cycling
+// fallback) the first. dir is +1 when the entering variable increases
+// from its lower bound, -1 when it decreases from its upper bound.
+func (t *revTableau) chooseEntering(d []float64, hi int, bland bool) (enter int, dir float64) {
+	enter = -1
+	best := epsReduced
+	atUpper := t.atUpper[:hi]
+	for j, dj := range d[:hi] {
+		score := -dj
+		if atUpper[j] {
+			score = dj
+		}
+		if score > best {
+			best, enter = score, j
+			if bland {
+				break
+			}
+		}
+	}
+	if enter >= 0 && t.atUpper[enter] {
+		return enter, -1
+	}
+	return enter, 1
+}
+
+// testHookPrices, set only by tests, runs after every pivot of the
+// primal loop with the costs, the reduced costs and the priced range.
+var testHookPrices func(t *revTableau, cost, d []float64, hi int)
 
 // iterate runs primal bounded-variable revised-simplex pivots for the
 // given costs. Nonbasic variables rest at 0 or at their finite upper
 // bound; the ratio test allows three outcomes per step: a basic
 // variable leaves at lower, a basic variable leaves at upper, or the
 // entering variable flips to its opposite bound without a pivot.
+//
+// Reduced costs are priced in full once, then updated from the pivot
+// row after each basis change (see updatePrices); a bound flip leaves
+// them unchanged. They are priced afresh after every refactorization
+// and before a terminal verdict, so a claim of optimality or
+// unboundedness never rests on incrementally drifted values. Every
+// per-pivot vector operation runs on the FTRAN image's nonzero list.
 func (t *revTableau) iterate(cost []float64, phase1 bool) (Status, int) {
 	maxIters := 200*(t.m+t.n) + 20000
 	hi := t.n
 	if !phase1 {
 		hi = t.artLo
 	}
-	y, w := t.y, t.w
+	d := f64s(&t.ws.d, t.n)
+	t.resetPivotRow()
+	t.price(cost, d, hi)
+	fresh := true
+	reprice := func(reason *obs.Counter) {
+		reason.Inc()
+		t.price(cost, d, hi)
+		fresh = true
+	}
+	w := t.w
+	// Degeneracy watch: gain accumulates the objective decrease
+	// |d_q|·θ of each step since the last real progress.
 	stall := 0
 	bland := false
-	lastObj := math.Inf(1)
+	gain := 0.0
 	for iter := 0; iter < maxIters; iter++ {
 		if t.repFail {
 			return IterLimit, iter
@@ -645,55 +846,26 @@ func (t *revTableau) iterate(cost []float64, phase1 bool) (Status, int) {
 		if t.checkpoint(iter) {
 			return Aborted, iter
 		}
-		t.duals(cost, y)
-		// Pricing: at-lower columns want d < 0, at-upper columns d > 0.
-		enter, dir := -1, 1.0
-		best := epsReduced
-		for j := 0; j < hi; j++ {
-			if t.inBasis[j] {
-				continue
-			}
-			d := cost[j]
-			col := &t.cols[j]
-			for k, ri := range col.idx {
-				d -= y[ri] * col.val[k]
-			}
-			var score float64
-			if t.atUpper[j] {
-				score = d
-			} else {
-				score = -d
-			}
-			if bland {
-				if score > epsReduced {
-					enter = j
-					if t.atUpper[j] {
-						dir = -1
-					} else {
-						dir = 1
-					}
-					break
-				}
-			} else if score > best {
-				best, enter = score, j
-				if t.atUpper[j] {
-					dir = -1
-				} else {
-					dir = 1
-				}
+		enter, dir := t.chooseEntering(d, hi, bland)
+		if enter < 0 && !fresh {
+			reprice(t.cVerdict)
+			if enter, dir = t.chooseEntering(d, hi, bland); enter >= 0 {
+				t.cStale.Inc()
 			}
 		}
 		if enter < 0 {
 			return Optimal, iter
 		}
-		t.rep.ftranCol(&t.cols[enter], w)
+		dq := d[enter]
+		t.ftranCol(enter)
 		// Bounded ratio test: theta is how far the entering variable
 		// moves (increasing from 0 when dir=+1, decreasing from its
 		// upper bound when dir=-1).
 		leave := -1
 		leaveAtUpper := false
 		bestRatio := math.Inf(1)
-		for i := 0; i < t.m; i++ {
+		for _, i32 := range t.wnz {
+			i := int(i32)
 			dw := dir * w[i]
 			var ratio float64
 			var hitsUpper bool
@@ -714,10 +886,11 @@ func (t *revTableau) iterate(cost []float64, phase1 bool) (Status, int) {
 				leave, bestRatio, leaveAtUpper = i, ratio, hitsUpper
 			}
 		}
+		var theta float64
 		if ubE := t.ub[enter]; !math.IsInf(ubE, 1) && (leave < 0 || ubE < bestRatio-epsPivot) {
 			// Bound flip: the entering variable traverses its whole
 			// range without any basic variable blocking.
-			for i := 0; i < t.m; i++ {
+			for _, i := range t.wnz {
 				t.xB[i] -= dir * ubE * w[i]
 				if t.xB[i] < 0 && t.xB[i] > -1e-11 {
 					t.xB[i] = 0
@@ -725,28 +898,38 @@ func (t *revTableau) iterate(cost []float64, phase1 bool) (Status, int) {
 			}
 			t.atUpper[enter] = dir > 0
 			t.cBoundFlips.Inc()
+			theta = ubE
 		} else if leave < 0 {
-			return Unbounded, iter
+			if fresh {
+				return Unbounded, iter
+			}
+			reprice(t.cVerdict)
+			continue
 		} else {
 			newVal := bestRatio
 			if dir < 0 {
 				newVal = t.ub[enter] - bestRatio
 			}
-			t.pivot(leave, enter, w, dir*bestRatio, newVal, leaveAtUpper)
+			switch {
+			case !t.pivot(leave, enter, dir*bestRatio, newVal, leaveAtUpper):
+				t.updatePrices(d, leave, enter, dq, hi)
+				fresh = false
+			case !t.repFail: // refactorized
+				reprice(t.cRefactor)
+			}
+			if testHookPrices != nil {
+				testHookPrices(t, cost, d, hi)
+			}
+			theta = bestRatio
 		}
 		if iter%64 == 63 {
 			t.computeXB()
 		}
-		// Degeneracy watch.
-		obj := t.objective(cost)
-		if obj < lastObj-1e-12 {
-			lastObj = obj
+		if gain += math.Abs(dq) * theta; gain > 1e-12 {
+			gain = 0
 			stall = 0
-		} else {
-			stall++
-			if stall > t.m+100 {
-				bland = true
-			}
+		} else if stall++; stall > t.m+100 {
+			bland = true
 		}
 	}
 	return IterLimit, maxIters
@@ -762,9 +945,10 @@ func (t *revTableau) iterateDual(cost []float64) (Status, int) {
 	// cold solve on IterLimit. Legitimate repairs measured across the
 	// cut loops stay under one pivot per row, so the budget is tight.
 	maxIters := 4*t.m + 400
-	y, w := t.y, t.w
+	y := t.y
 	d := f64s(&t.ws.d, t.n)
-	alpha := f64s(&t.ws.alpha, t.artLo)
+	t.resetPivotRow()
+	alpha := t.alpha
 	// Reduced costs are maintained incrementally across pivots (the
 	// per-iteration dual recomputation dominated warm repairs
 	// otherwise) and refreshed periodically against drift.
@@ -812,27 +996,23 @@ func (t *revTableau) iterateDual(cost []float64) (Status, int) {
 		if r < 0 {
 			return Optimal, iter
 		}
-		// Entering column: dual ratio test on row r of B⁻¹N. s orients
-		// the row so the leaving variable moves back toward its
-		// violated bound.
-		rowr := t.rep.btranUnit(r, t.rho)
+		// Entering column: dual ratio test on row r of B⁻¹N (whose
+		// zero entries never qualify), leaving the row in alpha for
+		// the dual update. s orients the row so the leaving variable
+		// moves back toward its violated bound.
+		t.clearPivotRow()
+		t.btranRow(r)
+		t.pivotRow(t.artLo)
+		slices.Sort(t.anz) // column order, for the tie-break
 		s := 1.0
 		if leaveAtUpper {
 			s = -1
 		}
 		enter := -1
 		bestRatio := math.Inf(1)
-		for j := 0; j < t.artLo; j++ {
-			if t.inBasis[j] {
-				continue
-			}
-			col := &t.cols[j]
-			a0 := 0.0
-			for k, ri := range col.idx {
-				a0 += rowr[int(ri)] * col.val[k]
-			}
-			alpha[j] = a0
-			a := s * a0
+		for _, j32 := range t.anz {
+			j := int(j32)
+			a := s * alpha[j]
 			var ratio float64
 			if !t.atUpper[j] {
 				if a >= -epsPivot {
@@ -878,7 +1058,7 @@ func (t *revTableau) iterateDual(cost []float64) (Status, int) {
 			return IterLimit, iter
 		}
 		leaving := t.basis[r]
-		t.rep.ftranCol(&t.cols[enter], w)
+		t.ftranCol(enter)
 		target := 0.0
 		if leaveAtUpper {
 			target = t.ub[t.basis[r]]
@@ -888,11 +1068,11 @@ func (t *revTableau) iterateDual(cost []float64) (Status, int) {
 		if t.atUpper[enter] {
 			cur = t.ub[enter]
 		}
-		t.pivot(r, enter, w, delta, cur+delta, leaveAtUpper)
+		t.pivot(r, enter, delta, cur+delta, leaveAtUpper)
 		// Dual update: d_j -= theta * alpha_rj for the nonbasic set.
 		// The alphas were just computed for the pivot row; the leaving
 		// variable (alpha = 1 in its own row) lands at -theta.
-		for j := 0; j < t.artLo; j++ {
+		for _, j := range t.anz {
 			if !t.inBasis[j] {
 				d[j] -= theta * alpha[j]
 			}
@@ -910,18 +1090,19 @@ func (t *revTableau) iterateDual(cost []float64) (Status, int) {
 }
 
 // pivot makes the entering column basic in row r with value newVal;
-// every other basic value moves by -delta*w (delta is the signed
-// change of the entering variable), the leaving variable becomes
-// nonbasic at its lower or upper bound, and the basis representation
-// folds in the pivot — by product-form inverse update or column eta.
-// When the representation asks for a refactorization instead (eta
-// limit, fill-in, instability) it happens here, against the just-
-// updated basis; a singular refactorization flags repFail for the
+// every other basic value moves by -delta*w (w = t.w, the entering
+// column's FTRAN image; delta is the signed change of the entering
+// variable), the leaving variable becomes nonbasic at its lower or
+// upper bound, and the basis representation folds in the pivot — by
+// product-form inverse update or column eta. When the representation
+// asks for a refactorization instead (eta limit, fill-in, instability)
+// it happens here, against the just-updated basis, and pivot reports
+// true; a singular refactorization also flags repFail for the
 // divergence guard.
-func (t *revTableau) pivot(r, enter int, w []float64, delta, newVal float64, leaveAtUpper bool) {
+func (t *revTableau) pivot(r, enter int, delta, newVal float64, leaveAtUpper bool) (refactored bool) {
 	leaving := t.basis[r]
-	for i := 0; i < t.m; i++ {
-		t.xB[i] -= delta * w[i]
+	for _, i := range t.wnz {
+		t.xB[i] -= delta * t.w[i]
 		if t.xB[i] < 0 && t.xB[i] > -1e-11 {
 			t.xB[i] = 0
 		}
@@ -932,22 +1113,24 @@ func (t *revTableau) pivot(r, enter int, w []float64, delta, newVal float64, lea
 	t.atUpper[enter] = false
 	t.inBasis[leaving] = false
 	t.atUpper[leaving] = leaveAtUpper && !math.IsInf(t.ub[leaving], 1)
-	if ok, reason := t.rep.update(t, r, w); !ok {
-		t.met.CounterWith(obs.MLPLURefactor, "reason", reason).Inc()
-		if !t.rep.refactorize(t) {
-			// Keep the representation in a defined state and let the
-			// pivot loops bail; the divergence guard re-solves dense.
-			t.rep.setIdentity(t.m)
-			t.repFail = true
-		}
+	ok, reason := t.rep.update(t, r, t.w, t.wnz)
+	if ok {
+		return false
 	}
+	t.met.CounterWith(obs.MLPLURefactor, "reason", reason).Inc()
+	if !t.rep.refactorize(t) {
+		// Keep the representation in a defined state and let the
+		// pivot loops bail; the divergence guard re-solves dense.
+		t.rep.setIdentity(t.m)
+		t.repFail = true
+	}
+	return true
 }
 
 // purgeArtificials drives basic artificials out after phase 1 by
 // degenerate pivots on structural columns; redundant rows keep their
 // artificial basic at zero (phase 2 never prices artificials).
 func (t *revTableau) purgeArtificials() {
-	w := t.w
 	for r := 0; r < t.m && !t.repFail; r++ {
 		if t.basis[r] < t.artLo {
 			continue
@@ -956,15 +1139,15 @@ func (t *revTableau) purgeArtificials() {
 			if t.inBasis[j] {
 				continue
 			}
-			t.rep.ftranCol(&t.cols[j], w)
-			if math.Abs(w[r]) > epsPivot {
+			t.ftranCol(j)
+			if math.Abs(t.w[r]) > epsPivot {
 				// (Near-)degenerate step: the artificial sits at ~0, so
 				// the entering variable keeps its current value.
 				newVal := 0.0
 				if t.atUpper[j] {
 					newVal = t.ub[j]
 				}
-				t.pivot(r, j, w, 0, newVal, false)
+				t.pivot(r, j, 0, newVal, false)
 				t.xB[r] = newVal
 				break
 			}

@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -255,10 +256,17 @@ func TestRandomAgainstRational(t *testing.T) {
 func TestProblemString(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVar("x", 2)
-	p.AddConstraint(LE, 4, Term{x, 1})
+	y := p.AddVar("", 1) // unnamed: rendered by index
+	p.AddConstraint(LE, 4, Term{x, 1}, Term{y, 1})
 	s := p.String()
 	if s == "" {
 		t.Error("empty String()")
+	}
+	if p.Name(x) != "x" || p.Name(y) != "x1" {
+		t.Errorf("names %q, %q; want x, x1", p.Name(x), p.Name(y))
+	}
+	if !strings.Contains(s, "+1*x1") {
+		t.Errorf("unnamed variable not rendered as x1:\n%s", s)
 	}
 }
 

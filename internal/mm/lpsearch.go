@@ -1,7 +1,6 @@
 package mm
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 
@@ -102,7 +101,7 @@ func (l LPSearch) SolveStats(inst *ise.Instance) (*Schedule, Stats, error) {
 	perJob := make([][]int, inst.N())
 	for id, j := range inst.Jobs {
 		for s := j.Release; s <= j.Deadline-j.Processing; s++ {
-			v := prob.AddVar(fmt.Sprintf("y[%d,%d]", id, s), 0)
+			v := prob.AddVar("", 0)
 			prob.SetUpper(v, 1) // implied by the assignment row; tightens probes
 			perJob[id] = append(perJob[id], len(cands))
 			cands = append(cands, startCand{job: id, start: s, v: v})

@@ -15,6 +15,8 @@ const (
 	MLPBinvHits     = "lp_binv_reuse_hits_total"        // warm factorizations reused after the probe check
 	MLPBinvMisses   = "lp_binv_reuse_misses_total"      // warm factorizations rejected (refactorized instead)
 	MLPDualRepair   = "lp_dual_repair_iterations_total" // dual-simplex pivots spent repairing warm bases
+	MLPPriceRefresh = "lp_price_refresh_total"          // full re-pricings of the primal loop; labeled reason=refactor|optimality_check
+	MLPPriceStale   = "lp_price_stale_total"            // full re-pricings that overturned an optimality claim
 
 	// internal/lp — sparse LU basis factorization (default representation).
 	MLPLUFactorize     = "lp_lu_factorize_total"      // full Markowitz factorizations (installs + refactorizations)
@@ -143,6 +145,12 @@ const (
 	MSLOBreaches  = "slo_breach_total"          // requests over threshold or failed (budget-burning events)
 )
 
+// Re-pricing reasons (the reason label of lp_price_refresh_total).
+const (
+	RefreshRefactor   = "refactor"         // the basis was refactorized mid-solve
+	RefreshOptimality = "optimality_check" // incremental prices claimed optimality or unboundedness
+)
+
 // Cold-fallback reasons (the reason label of lp_cold_fallback_total).
 const (
 	ReasonBasisShape      = "basis_shape"         // fingerprint mismatch: different vars or fewer rows
@@ -156,15 +164,17 @@ const (
 
 // Declare pre-registers the headline series at zero so metric dumps
 // of an instrumented run always carry the full catalogue, whether or
-// not a given path fired. Safe on nil registries.
+// not a given path fired. Safe on nil registries; only the first call
+// on a registry registers anything, so the solver entry points may call
+// it on every solve.
 func Declare(r *Registry) {
-	if r == nil {
+	if r == nil || r.declared.Swap(true) {
 		return
 	}
 	for _, n := range []string{
 		MLPPivots, MLPBoundFlips, MLPWarmHits, MLPWarmMisses,
 		MLPColdFallback, MLPColdSolves, MLPBinvHits, MLPBinvMisses,
-		MLPDualRepair, MLPLUFactorize, MLPLUDenseFallback,
+		MLPDualRepair, MLPPriceStale, MLPLUFactorize, MLPLUDenseFallback,
 		MTISEResolves,
 		MDecompTasks,
 		MRobustFallback, MRobustRungAnswers, MRobustDeadlineHits,
@@ -175,6 +185,9 @@ func Declare(r *Registry) {
 	}
 	for _, reason := range []string{"eta_limit", "fill_in", "instability"} {
 		r.CounterWith(MLPLURefactor, "reason", reason)
+	}
+	for _, reason := range []string{RefreshRefactor, RefreshOptimality} {
+		r.CounterWith(MLPPriceRefresh, "reason", reason)
 	}
 	r.Gauge(MLPLUEtaLenMax)
 	r.Gauge(MLPLUFillRatio)
@@ -285,6 +298,8 @@ var helpText = map[string]string{
 	MLPBinvHits:     "Warm basis factorizations reused after the probe check.",
 	MLPBinvMisses:   "Warm basis factorizations rejected and refactorized instead.",
 	MLPDualRepair:   "Dual-simplex pivots spent repairing warm bases.",
+	MLPPriceRefresh: "Full re-pricings of the primal simplex loop, by reason.",
+	MLPPriceStale:   "Full re-pricings that found an entering column after incremental prices claimed optimality.",
 
 	MLPLUFactorize:     "Full Markowitz LU factorizations of the simplex basis.",
 	MLPLURefactor:      "Mid-solve LU refactorizations, by trigger reason.",

@@ -19,6 +19,9 @@ type Registry struct {
 	counters map[string]*counterEntry
 	gauges   map[string]*gaugeEntry
 	hists    map[string]*histEntry
+	// declared is set by the first Declare; the catalogue only ever
+	// grows, so later calls have nothing to add.
+	declared atomic.Bool
 }
 
 // NewRegistry returns an empty registry.

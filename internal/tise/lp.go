@@ -98,8 +98,8 @@ func (e *NumericalError) Error() string {
 func BuildLP(inst *ise.Instance, mPrime int, points []ise.Time) (p *lp.Problem, cVar []int, xVar [][]int) {
 	p = lp.NewProblem()
 	cVar = make([]int, len(points))
-	for i, t := range points {
-		cVar[i] = p.AddVar(fmt.Sprintf("C[%d]", t), 1)
+	for i := range points {
+		cVar[i] = p.AddVar("", 1)
 	}
 	xVar = make([][]int, inst.N())
 	for j := range inst.Jobs {
@@ -113,7 +113,7 @@ func BuildLP(inst *ise.Instance, mPrime int, points []ise.Time) (p *lp.Problem, 
 	for jIdx, j := range inst.Jobs {
 		for i, t := range points {
 			if Feasible(inst.T, j, t) {
-				xVar[jIdx][i] = p.AddVar(fmt.Sprintf("X[%d,%d]", jIdx, t), 0)
+				xVar[jIdx][i] = p.AddVar("", 0)
 			}
 		}
 	}

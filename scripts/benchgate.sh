@@ -2,11 +2,25 @@
 # Benchmark regression gate for pull requests, in two parts.
 #
 # Part 1 (relative): runs the two headline hot-path benchmarks
-# (BenchmarkT1LongWindowN40, BenchmarkT8Scaling) on the working tree
-# and on a base ref checked out into a throwaway git worktree, then
-# fails if any sub-benchmark's mean ns/op — or, where both sides
-# report it, mean allocs/op — regressed by more than BENCHGATE_PCT
-# percent (default 10).
+# (BenchmarkT1LongWindowN40, BenchmarkT8Scaling) and the LP cost
+# matrix (BenchmarkSolveMatrix: one sub-benchmark per workload family
+# × n cell) on the working tree and on a base ref checked out into a
+# throwaway git worktree, then fails if any gated sub-benchmark's mean
+# ns/op — or, where both sides report it, mean allocs/op — regressed
+# by more than BENCHGATE_PCT percent (default 10). The matrix enters
+# the gate as one figure, the geometric mean of the head/base ns/op
+# ratios of its cells that run the LP (the base reports pivots/op > 0);
+# each cell's own ratio is printed for information only. Single cells
+# are too noisy to gate at 10%: comparing two runs of unchanged code
+# on a 2-vCPU VM, a cell's runs varied by about 10% (coefficient of
+# variation), and 8 of the 18 LP cells came out more than 10% slower
+# in their mean of 3 in one direction or the other, while the
+# geometric mean over the LP cells moved by +3.3% and -3.2%. The
+# cells without an LP are printed but left out of the mean: their
+# 15-260 µs solves only time the non-LP layers.
+# Pivots per solve (pivots/op) are printed beside each cell for
+# information only: a change of pivot path is legitimate when ties
+# break differently.
 #
 # Part 2 (absolute): runs the service hot-path benchmarks
 # (BenchmarkServiceSolve, BenchmarkServiceCacheHit) on the working
@@ -51,11 +65,20 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# No pipe into tee: a pipeline would mask go test's exit status under
-# plain sh (same rationale as bench.sh).
+# benchrun DIR runs both benchmark sets in the checkout at DIR. The
+# matrix's cells take from ~15 µs to ~0.5 s per solve; at a fixed
+# count of 3 the small ones measure scheduler noise, so the matrix runs
+# for a duration per cell instead. No pipe into tee: a pipeline would
+# mask go test's exit status under plain sh (same rationale as
+# bench.sh).
+benchrun() {
+	(cd "$1" &&
+		go test -run XXX -bench "$BENCH" -benchtime "$BENCHTIME" -count "$COUNT" . &&
+		go test -run XXX -bench BenchmarkSolveMatrix -benchtime 0.2s -count "$COUNT" .)
+}
+
 echo "benchgate: benchmarking head ($(git rev-parse --short HEAD))"
-go test -run XXX -bench "$BENCH" -benchtime "$BENCHTIME" -count "$COUNT" \
-	. >"$HEAD_OUT" 2>&1 || {
+benchrun . >"$HEAD_OUT" 2>&1 || {
 	cat "$HEAD_OUT"
 	echo "benchgate: head benchmark run failed" >&2
 	exit 1
@@ -64,8 +87,7 @@ cat "$HEAD_OUT"
 
 echo "benchgate: benchmarking base ($(git rev-parse --short "$BASE_REF"))"
 git worktree add --quiet --detach "$WT" "$BASE_REF"
-(cd "$WT" && go test -run XXX -bench "$BENCH" -benchtime "$BENCHTIME" \
-	-count "$COUNT" .) >"$BASE_OUT" 2>&1 || {
+benchrun "$WT" >"$BASE_OUT" 2>&1 || {
 	cat "$BASE_OUT"
 	echo "benchgate: base benchmark run failed" >&2
 	exit 1
@@ -91,6 +113,7 @@ FNR == NR && /^Benchmark/ {
 	for (i = 2; i <= NF; i++) {
 		if ($i == "ns/op") { bsum[name] += $(i - 1); bn[name]++ }
 		if ($i == "allocs/op") { basum[name] += $(i - 1); ban[name]++ }
+		if ($i == "pivots/op") { bpsum[name] += $(i - 1); bpn[name]++ }
 	}
 	next
 }
@@ -100,6 +123,7 @@ FNR == NR && /^Benchmark/ {
 	for (i = 2; i <= NF; i++) {
 		if ($i == "ns/op") { hsum[name] += $(i - 1); hn[name]++ }
 		if ($i == "allocs/op") { hasum[name] += $(i - 1); han[name]++ }
+		if ($i == "pivots/op") { hpsum[name] += $(i - 1); hpn[name]++ }
 	}
 }
 END {
@@ -113,9 +137,14 @@ END {
 		base = bsum[name] / bn[name]
 		head = hsum[name] / hn[name]
 		delta = (head - base) / base * 100
-		checked++
-		status = "ok"
-		if (delta > pct) { status = "REGRESSION"; fail = 1 }
+		if (name ~ /^BenchmarkSolveMatrix\//) {
+			status = "info"
+			if (bpsum[name] > 0) { lsum += log(head / base); lcells++ }
+		} else {
+			checked++
+			status = "ok"
+			if (delta > pct) { status = "REGRESSION"; fail = 1 }
+		}
 		printf "benchgate: %-55s base %12.0f ns/op      head %12.0f ns/op      %+8.2f%%  %s\n", \
 			name, base, head, delta, status
 		if ((name in ban) && (name in han) && basum[name] > 0) {
@@ -127,9 +156,23 @@ END {
 			printf "benchgate: %-55s base %12.0f allocs/op  head %12.0f allocs/op  %+8.2f%%  %s\n", \
 				name, abase, ahead, adelta, status
 		}
+		if ((name in bpn) && (name in hpn) && bpsum[name] > 0) {
+			pbase = bpsum[name] / bpn[name]
+			phead = hpsum[name] / hpn[name]
+			printf "benchgate: %-55s base %12.1f pivots/op  head %12.1f pivots/op  %+8.2f%%  info\n", \
+				name, pbase, phead, (phead - pbase) / pbase * 100
+		}
 	}
 	for (name in bn) {
 		if (!(name in hn)) printf "benchgate: %s: missing from head, skipped\n", name
+	}
+	if (lcells > 0) {
+		delta = (exp(lsum / lcells) - 1) * 100
+		checked++
+		status = "ok"
+		if (delta > pct) { status = "REGRESSION"; fail = 1 }
+		printf "benchgate: %-55s geometric mean over %d LP cells             %+8.2f%%  %s\n", \
+			"BenchmarkSolveMatrix", lcells, delta, status
 	}
 	if (checked == 0) {
 		print "benchgate: no comparable benchmarks between base and head" > "/dev/stderr"
